@@ -96,7 +96,7 @@ def _affine_printed_clique_size(q: int, m: int, eps: int) -> Fraction:
 
 
 def build_summary(g: graphs.PolarGraph) -> dict:
-    params = graphs.srg_check(g)
+    params = g.srg_params()
     spec = graphs.spectrum(params)
     bound = graphs.delsarte_bound(params, spec)
     nexus = Fraction(params.mu, -spec.theta2)
@@ -225,7 +225,7 @@ def _construct(g: graphs.PolarGraph, name: str) -> ef.Eigenfunction:
 def enumerate_pairs(family, q, n, m, cap, cache_dir, workers, kind, size, out):
     """Exhaustively catalogue isolated-clique or complete-bipartite pairs."""
     g = _build_or_exit(family, q, n, m, cap, cache_dir)
-    params = graphs.srg_check(g)
+    params = g.srg_params()
     spec = graphs.spectrum(params)
     if size is None:
         size = spec.theta1 + 1 if kind == "isolated" else -spec.theta2

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import forms, graphs, linalg
 from .gf import norm_minus_one_unit, norm_one_subgroup
 from .graphs import CliqueInfo, PolarGraph, SrgParams, delsarte_bound
-from .polarspace import SingularSubspace, WrongDimension
+from .polarspace import SingularSubspace, WrongDimension, bit_indices
 
 
 class EigenfunctionError(Exception):
@@ -115,7 +115,9 @@ def wdb(theta: int, params: SrgParams) -> int:
             f"theta = {theta} is not one of ({spec.theta1}, {spec.theta2})")
     value = 1 + abs(theta) + abs(
         Fraction((theta - params.lam) * theta - params.k, params.mu))
-    assert value == expected, (value, expected)
+    if value != expected:
+        raise EigenfunctionError(
+            f"the bound evaluates to {value}, but the spectrum gives {expected}")
     return expected
 
 
@@ -144,7 +146,7 @@ def verify_eigenfunction(g: PolarGraph, f: Eigenfunction,
         lhs = theta * f.values.get(gamma, Fraction(0))
         if lhs != rhs:
             raise NotAnEigenfunction(gamma, lhs, rhs)
-    params = params or graphs.srg_check(g)
+    params = params or g.srg_params()
     try:
         bound = wdb(f.theta, params)
     except NotNonPrincipal:
@@ -194,9 +196,9 @@ def theta1_polar(g: PolarGraph, L: SingularSubspace | None = None,
     M, N = _check_sigma_pair(space, L, M, N)
     one = Fraction(1)
     values: dict[int, Fraction] = {}
-    for pi in _bits(M.point_bits & ~L.point_bits):
+    for pi in bit_indices(M.point_bits & ~L.point_bits):
         values[pi] = one
-    for pi in _bits(N.point_bits & ~L.point_bits):
+    for pi in bit_indices(N.point_bits & ~L.point_bits):
         values[pi] = -one
     theta = space.ctx.q ** (n - 1) - 1
     return Eigenfunction(values, theta, dict(g.provenance))
@@ -213,7 +215,7 @@ def _vec_lift(space, point_bits: int, scalars) -> list[tuple[int, ...]]:
     pts = space.points()
     mul = space.ctx.mul_i
     out = []
-    for pi in _bits(point_bits):
+    for pi in bit_indices(point_bits):
         rep = linalg.vec_key(pts[pi].rep)
         for a in scalars:
             out.append(tuple(mul(a, c) for c in rep))
@@ -318,7 +320,7 @@ def optimal_clique_shape(g: PolarGraph) -> tuple[int, int]:
     Delsarte bound is an integer; otherwise disjoint maximum cliques of size
     theta1 + 1 (the elliptic affine case).
     """
-    params = graphs.srg_check(g)
+    params = g.srg_params()
     spec = graphs.spectrum(params)
     bound = delsarte_bound(params, spec)
     if bound.denominator == 1:
@@ -336,7 +338,7 @@ def theta1_from_clique_pair(g: PolarGraph, C0, C1) -> Eigenfunction:
     for the family; the difference sets then form a pair of isolated cliques
     of size theta1 + 1.
     """
-    params = graphs.srg_check(g)
+    params = g.srg_params()
     spec = graphs.spectrum(params)
     size, inter = optimal_clique_shape(g)
     bits = []
@@ -347,7 +349,7 @@ def theta1_from_clique_pair(g: PolarGraph, C0, C1) -> Eigenfunction:
             b = 0
             for x in C:
                 b |= 1 << x
-        members = _bits(b)
+        members = bit_indices(b)
         if len(members) != size or any(
                 not g.are_adjacent(x, y)
                 for i, x in enumerate(members) for y in members[i + 1:]):
@@ -362,9 +364,9 @@ def theta1_from_clique_pair(g: PolarGraph, C0, C1) -> Eigenfunction:
             f"intersection {common.bit_count()}, the family's maximum is {inter}")
     values: dict[int, Fraction] = {}
     one = Fraction(1)
-    for x in _bits(b0 & ~common):
+    for x in bit_indices(b0 & ~common):
         values[x] = one
-    for x in _bits(b1 & ~common):
+    for x in bit_indices(b1 & ~common):
         values[x] = -one
     return Eigenfunction(values, spec.theta1, dict(g.provenance))
 
@@ -416,13 +418,4 @@ def outside_neighbour_counts(g: PolarGraph, t0, t1) -> list[tuple[int, int, int]
         if (b0 | b1) >> u & 1:
             continue
         out.append((u, (g.adj[u] & b0).bit_count(), (g.adj[u] & b1).bit_count()))
-    return out
-
-
-def _bits(bits: int) -> list[int]:
-    out = []
-    while bits:
-        lsb = bits & -bits
-        out.append(lsb.bit_length() - 1)
-        bits ^= lsb
     return out

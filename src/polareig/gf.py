@@ -16,7 +16,7 @@ of GF(p^k) are always identical, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 
 DESK_SCALE_CAP = 2 ** 20
@@ -278,6 +278,18 @@ class FieldContext:
             r = p ** (k // 2)
             self._frob = [self.pow_i(a, r) for a in range(q)]
 
+    def tables(self):
+        """(add, mul, neg, inv), indexed as add[a][b] and neg[a].
+
+        These are the dense tables when the field has them; for a larger
+        field they are views that compute each entry with add_i, mul_i,
+        neg_i and inv_i.
+        """
+        if self._mul is not None:
+            return self._add, self._mul, self._neg, self._inv
+        return (_Computed(self.add_i, 2), _Computed(self.mul_i, 2),
+                _Computed(self.neg_i, 1), _Computed(self.inv_i, 1))
+
     def add_i(self, a: int, b: int) -> int:
         if self._add is not None:
             return self._add[a][b]
@@ -339,6 +351,21 @@ class FieldContext:
         if self.k % 2 != 0:
             raise OddExtensionDegree(f"{self!r} is not a square-order field")
         return self.p ** (self.k // 2)
+
+
+class _Computed:
+    """Table-style view of a field operation: t[a] (arity 1) or t[a][b]."""
+
+    __slots__ = ("op", "arity")
+
+    def __init__(self, op, arity: int):
+        self.op = op
+        self.arity = arity
+
+    def __getitem__(self, a: int):
+        if self.arity == 1:
+            return self.op(a)
+        return _Computed(partial(self.op, a), 1)
 
 
 class FieldElement:
@@ -527,6 +554,6 @@ def norm_minus_one_unit(ctx: FieldContext) -> FieldElement:
     beta = primitive_element(ctx)
     eps = beta ** ((r - 1) // 2)
     minus_one = -ctx.one
-    assert eps ** (r + 1) == minus_one
-    assert eps.frobenius_sqrt() == minus_one / eps
+    if eps ** (r + 1) != minus_one or eps.frobenius_sqrt() != minus_one / eps:
+        raise FieldError(f"{eps!r} does not have norm -1 in {ctx!r}")
     return eps

@@ -16,7 +16,7 @@ from math import isqrt
 
 from . import forms, polarspace
 from .gf import FieldContext
-from .polarspace import PolarSpace
+from .polarspace import PolarSpace, bit_indices
 
 
 class GraphError(Exception):
@@ -83,7 +83,11 @@ class CliqueInfo:
 
 
 class PolarGraph:
-    """A vertex-indexed graph with dense bitset adjacency and provenance."""
+    """A vertex-indexed graph with dense bitset adjacency and provenance.
+
+    The adjacency is fixed at construction, so the strongly regular
+    parameters are computed once (:meth:`srg_params`).
+    """
 
     def __init__(self, vertices, adj: list[int], provenance: dict, *,
                  space: PolarSpace | None = None, ctx: FieldContext | None = None):
@@ -93,10 +97,17 @@ class PolarGraph:
         self.space = space
         self.ctx = ctx
         self.n = len(vertices)
+        self._srg: SrgParams | None = None
 
     def __repr__(self):
         fam = self.provenance.get("family", "?")
         return f"PolarGraph({fam}, v={self.n})"
+
+    def srg_params(self) -> SrgParams:
+        """The parameters from one exhaustive srg_check of this graph."""
+        if self._srg is None:
+            self._srg = srg_check(self)
+        return self._srg
 
     def are_adjacent(self, i: int, j: int) -> bool:
         return bool(self.adj[i] >> j & 1)
@@ -105,22 +116,13 @@ class PolarGraph:
         return self.adj[i].bit_count()
 
     def neighbours(self, i: int) -> list[int]:
-        return _bit_indices(self.adj[i])
+        return list(bit_indices(self.adj[i]))
 
     def edges(self):
         for i in range(self.n):
             bits = self.adj[i] >> (i + 1) << (i + 1)
-            for j in _bit_indices(bits):
+            for j in bit_indices(bits):
                 yield (i, j)
-
-
-def _bit_indices(bits: int) -> list[int]:
-    out = []
-    while bits:
-        lsb = bits & -bits
-        out.append(lsb.bit_length() - 1)
-        bits ^= lsb
-    return out
 
 
 def graph_from_edges(n: int, edges, provenance=None) -> PolarGraph:
@@ -219,7 +221,7 @@ def _connected(adj: list[int], n: int) -> bool:
     frontier = 1
     while frontier:
         nxt = 0
-        for i in _bit_indices(frontier):
+        for i in bit_indices(frontier):
             nxt |= adj[i]
         frontier = nxt & ~seen
         seen |= frontier
@@ -326,7 +328,7 @@ def delsarte_cliques(g: PolarGraph, params: SrgParams | None = None,
     Each is checked to be regular with nexus mu/(-theta2).  Empty when the
     bound is not an integer (then no clique can meet it).
     """
-    params = params or srg_check(g)
+    params = params or g.srg_params()
     spec = spec or spectrum(params)
     bound = delsarte_bound(params, spec)
     if bound.denominator != 1:
@@ -335,11 +337,10 @@ def delsarte_cliques(g: PolarGraph, params: SrgParams | None = None,
     nexus = Fraction(params.mu, -spec.theta2)
     out = []
     for bits in cliques_of_size(g, s):
-        members = _bit_indices(bits)
         ok = nexus.denominator == 1 and all(
             (g.adj[u] & bits).bit_count() == nexus
             for u in range(g.n) if not bits >> u & 1)
-        out.append(CliqueInfo(tuple(members), ok, int(nexus) if ok else None))
+        out.append(CliqueInfo(bit_indices(bits), ok, int(nexus) if ok else None))
     out.sort(key=lambda c: c.vertices)
     return out
 
@@ -352,12 +353,13 @@ def max_intersecting_delsarte_pair(g: PolarGraph) -> tuple[CliqueInfo, CliqueInf
     cliques = [c for c in delsarte_cliques(g) if c.is_delsarte]
     if len(cliques) < 2:
         raise FewerThanTwoCliques(f"found {len(cliques)} Delsarte cliques")
+    bits = [c.bits() for c in cliques]
     best = None
     best_size = -1
     for i in range(len(cliques)):
-        bi = cliques[i].bits()
+        bi = bits[i]
         for j in range(i + 1, len(cliques)):
-            inter = (bi & cliques[j].bits()).bit_count()
+            inter = (bi & bits[j]).bit_count()
             if inter > best_size:
                 best_size = inter
                 best = (cliques[i], cliques[j])
@@ -371,16 +373,16 @@ def maximal_cliques(g: PolarGraph) -> list[tuple[int, ...]]:
 
     def bk(r: int, p: int, x: int):
         if p == 0 and x == 0:
-            out.append(tuple(_bit_indices(r)))
+            out.append(bit_indices(r))
             return
         pivot_pool = p | x
         pivot = (pivot_pool & -pivot_pool).bit_length() - 1
         best = -1
-        for u in _bit_indices(pivot_pool):
+        for u in bit_indices(pivot_pool):
             c = (p & adj[u]).bit_count()
             if c > best:
                 best, pivot = c, u
-        for v in _bit_indices(p & ~adj[pivot]):
+        for v in bit_indices(p & ~adj[pivot]):
             vb = 1 << v
             bk(r | vb, p & adj[v], x & adj[v])
             p &= ~vb

@@ -1,15 +1,22 @@
 """Small exact linear algebra over GF(q).
 
-Vectors are tuples of :class:`polareig.gf.FieldElement`.  Subspaces are
-represented by their reduced row-echelon basis, which is the unique
-canonical representative used for hashing and deterministic sorting.
+The core works on tuples of element indices: :func:`rref_i` reduces rows
+through the field's dense tables (or, for fields too large to tabulate, its
+index-level operations).  Subspaces are represented by their reduced
+row-echelon basis, which is the unique canonical representative used for
+hashing and deterministic sorting.
+
+:class:`polareig.gf.FieldElement` appears only at the element-level API
+(:func:`rref`, :func:`in_span`, :func:`null_space`, ...), where vectors are
+tuples of elements; :func:`rref` converts at the boundary and runs the
+integer core.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .gf import FieldContext, FieldElement
+from .gf import ContextMismatch, FieldContext, FieldElement
 
 
 def zero_vector(ctx: FieldContext, dim: int) -> tuple[FieldElement, ...]:
@@ -37,45 +44,58 @@ def vec_key(v) -> tuple[int, ...]:
     return tuple(a.index for a in v)
 
 
-def rref(rows) -> tuple[tuple[FieldElement, ...], ...]:
-    """Reduced row-echelon form; zero rows dropped, pivots 1, unique."""
+def rref_i(ctx: FieldContext, rows) -> tuple[tuple[int, ...], ...]:
+    """Reduced row-echelon form of rows of element indices.
+
+    Zero rows are dropped and every pivot is 1, so the result is the unique
+    canonical basis of the row space.
+    """
+    add, mul, neg, inv = ctx.tables()
     work = [list(r) for r in rows]
-    if not work:
-        return ()
-    dim = len(work[0])
-    out: list[list[FieldElement]] = []
-    pivot_cols: list[int] = []
-    for col in range(dim):
-        pivot_row = None
-        for r in work:
-            if not r[col].is_zero():
-                pivot_row = r
+    out: list[list[int]] = []
+    for col in range(len(work[0]) if work else 0):
+        for i, r in enumerate(work):
+            if r[col]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        work.remove(pivot_row)
-        inv = pivot_row[col] ** (-1)
-        pivot_row = [inv * a for a in pivot_row]
-        for r in work:
+        pivot = work.pop(i)
+        scale = mul[inv[pivot[col]]]
+        pivot = [scale[a] for a in pivot]
+        # every remaining row is zero left of col, so the pivot row is too
+        support = [(j, a) for j, a in enumerate(pivot) if a]
+        for r in work + out:
             c = r[col]
-            if not c.is_zero():
-                for j in range(col, dim):
-                    r[j] = r[j] - c * pivot_row[j]
-        for r in out:
-            c = r[col]
-            if not c.is_zero():
-                for j in range(col, dim):
-                    r[j] = r[j] - c * pivot_row[j]
-        out.append(pivot_row)
-        pivot_cols.append(col)
+            if c:
+                m = mul[neg[c]]
+                for j, a in support:
+                    r[j] = add[r[j]][m[a]]
+        out.append(pivot)
         if not work:
             break
-    order = sorted(range(len(out)), key=lambda i: pivot_cols[i])
-    return tuple(tuple(out[i]) for i in order)
+    return tuple(map(tuple, out))
 
 
-def rank(rows) -> int:
-    return len(rref(rows))
+def element_rows(ctx: FieldContext, rows) -> tuple[tuple[FieldElement, ...], ...]:
+    """Rows of element indices as rows of field elements."""
+    element = ctx.element
+    return tuple(tuple(element(c) for c in r) for r in rows)
+
+
+def rref(rows) -> tuple[tuple[FieldElement, ...], ...]:
+    """Reduced row-echelon form of element rows; zero rows dropped, pivots 1.
+
+    Raises ContextMismatch when the rows mix elements of different fields.
+    """
+    rows = [tuple(r) for r in rows]
+    ctx = next((a.ctx for r in rows for a in r), None)
+    if ctx is None:
+        return ()
+    for r in rows:
+        for a in r:
+            if a.ctx is not ctx and a.ctx != ctx:
+                raise ContextMismatch(f"{ctx!r} vs {a.ctx!r}")
+    return element_rows(ctx, rref_i(ctx, [vec_key(r) for r in rows]))
 
 
 def basis_key(basis) -> tuple[int, ...]:
@@ -144,19 +164,3 @@ def normalize_projective(v):
             inv = a ** (-1)
             return tuple(inv * b for b in v)
     raise ValueError("zero vector has no projective representative")
-
-
-def projective_reps(basis, ctx: FieldContext, dim: int):
-    """Canonical representatives of the projective points in a span."""
-    seen = set()
-    out = []
-    for v in span_vectors(basis, ctx, dim):
-        if vec_is_zero(v):
-            continue
-        r = normalize_projective(v)
-        k = vec_key(r)
-        if k not in seen:
-            seen.add(k)
-            out.append(r)
-    out.sort(key=vec_key)
-    return out

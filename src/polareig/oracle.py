@@ -16,7 +16,7 @@ from math import comb
 
 from . import forms, graphs, linalg, parallel
 from .graphs import PolarGraph
-from .polarspace import NotPairwiseCollinear, NotSingular, PolarSpace
+from .polarspace import NotPairwiseCollinear, NotSingular, PolarSpace, bit_indices
 
 
 class OracleError(Exception):
@@ -92,18 +92,9 @@ class CountComparison:
         }
 
 
-def _bits(bits: int) -> list[int]:
-    out = []
-    while bits:
-        lsb = bits & -bits
-        out.append(lsb.bit_length() - 1)
-        bits ^= lsb
-    return out
-
-
 def _pair_key(b0: int, b1: int) -> tuple:
-    t0 = tuple(_bits(b0))
-    t1 = tuple(_bits(b1))
+    t0 = bit_indices(b0)
+    t1 = bit_indices(b1)
     return (t0, t1) if t0 <= t1 else (t1, t0)
 
 
@@ -131,7 +122,7 @@ def enumerate_isolated_clique_pairs(g: PolarGraph, s: int,
     forbidden = []
     for bits in cliques:
         f = bits
-        for v in _bits(bits):
+        for v in bit_indices(bits):
             f |= g.adj[v]
         forbidden.append(f)
     payloads = [(cliques, forbidden, lo, hi)
@@ -168,14 +159,15 @@ def _bipartite_worker(payload):
     out = []
     for i in range(lo, hi):
         a = firsts[i]
-        members = _bits(a)
+        members = bit_indices(a)
         cn = -1
         for v in members:
             cn &= adj[v]
         cn &= ~a
         lead = members[0]
         for b in _independent_sets_within(comp_adj, cn, s):
-            if _bits(b)[0] > lead:  # count each unordered pair once
+            # count each unordered pair once: b's least vertex comes after a's
+            if (b & -b).bit_length() - 1 > lead:
                 out.append((a, b))
     return out
 
@@ -232,9 +224,9 @@ def _polar_witness(space: PolarSpace, t0, t1):
     L = space.subspace_for_basis(inter)
     if L.proj_dim != n - 2:
         return None
-    if set(_bits(m0.point_bits & ~L.point_bits)) != set(t0):
+    if set(bit_indices(m0.point_bits & ~L.point_bits)) != set(t0):
         return None
-    if set(_bits(m1.point_bits & ~L.point_bits)) != set(t1):
+    if set(bit_indices(m1.point_bits & ~L.point_bits)) != set(t1):
         return None
     return {"L": L.key, "M": m0.key, "N": m1.key}
 
@@ -421,7 +413,7 @@ def derived_elliptic_count(space: PolarSpace, m: int) -> int:
 
 def count_comparison(g: PolarGraph, workers: int = 1) -> CountComparison:
     """Enumerated pair count against the printed and proof-derived formulas."""
-    params = graphs.srg_check(g)
+    params = g.srg_params()
     spec = graphs.spectrum(params)
     s = spec.theta1 + 1
     catalog = enumerate_isolated_clique_pairs(g, s, workers=workers)

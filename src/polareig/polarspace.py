@@ -8,6 +8,12 @@ singular and pairwise orthogonal, so collinearity reduces to one pairing
 test per point pair; those tests are cached as bitsets and shared with the
 collinearity-graph builder.
 
+The enumeration runs on element-index tuples (``linalg.rref_i``).  Once
+<S, p> is found, every point of it outside S spans the same extension of
+S, so all of them are struck from S's candidates: each extension of S is
+reduced once, and the points of each distinct span are listed once.
+Field elements appear only in the public ``basis`` of a subspace.
+
 All output lists are sorted by the canonical subspace key, making every
 downstream computation reproducible.
 """
@@ -72,12 +78,7 @@ class SingularSubspace:
         return len(self.basis)
 
     def point_indices(self) -> tuple[int, ...]:
-        out, bits = [], self.point_bits
-        while bits:
-            lsb = bits & -bits
-            out.append(lsb.bit_length() - 1)
-            bits ^= lsb
-        return tuple(out)
+        return bit_indices(self.point_bits)
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,7 @@ class PolarSpace:
         self.dim = form.dim
         self._cache_dir = _cache.resolve_cache_dir(cache_dir)
         self._points: list[ProjectivePoint] | None = None
+        self._point_keys: list[tuple[int, ...]] = []
         self._point_lookup: dict[tuple[int, ...], int] = {}
         self._collinearity: list[int] | None = None
         self._levels: dict[int, list[SingularSubspace]] = {}
@@ -143,6 +145,7 @@ class PolarSpace:
                 rep = tuple(ctx.element(c) for c in vec)
                 pts.append(ProjectivePoint(rep, i))
                 self._point_lookup[vec] = i
+            self._point_keys = reps
             self._points = pts
         return self._points
 
@@ -161,9 +164,9 @@ class PolarSpace:
     def collinearity_bits(self) -> list[int]:
         """bitset per point: indices of the distinct points collinear with it."""
         if self._collinearity is None:
-            pts = self.points()
-            keys = [p.key() for p in pts]
-            n = len(pts)
+            self.points()
+            keys = self._point_keys
+            n = len(keys)
             rows = [0] * n
             ctx = self.ctx
             gram = forms.bilinear_matrix_i(self.form)
@@ -185,22 +188,16 @@ class PolarSpace:
                     col.append(acc)
                 transformed.append(col)
             supports = [[(l, v) for l, v in enumerate(w) if v] for w in keys]
-            mul_t, add_t = ctx._mul, ctx._add
+            add_t, mul_t, _, _ = ctx.tables()
             for i in range(n):
                 sup = supports[i]
                 for j in range(i + 1, n):
                     t = transformed[j]
                     acc = 0
-                    if mul_t is not None:
-                        for l, v in sup:
-                            tv = t[l]
-                            if tv:
-                                acc = add_t[acc][mul_t[v][tv]]
-                    else:
-                        for l, v in sup:
-                            tv = t[l]
-                            if tv:
-                                acc = ctx.add_i(acc, ctx.mul_i(v, tv))
+                    for l, v in sup:
+                        tv = t[l]
+                        if tv:
+                            acc = add_t[acc][mul_t[v][tv]]
                     if acc == 0:
                         rows[i] |= 1 << j
                         rows[j] |= 1 << i
@@ -209,31 +206,34 @@ class PolarSpace:
 
     # -- singular subspaces -----------------------------------------------------
 
-    def _span_point_bits(self, basis) -> int:
-        # For a reduced-echelon basis, combinations whose first nonzero
+    def _span_point_bits(self, rows) -> int:
+        # For reduced-echelon index rows, combinations whose first nonzero
         # coefficient is 1 are already canonical point representatives.
-        ctx, d = self.ctx, self.dim
-        rows = [linalg.vec_key(r) for r in basis]
-        add, mul = ctx.add_i, ctx.mul_i
+        add, mul, _, _ = self.ctx.tables()
+        lookup = self._point_lookup
+        scalars = range(1, self.ctx.q)
         bits = 0
-        r = len(rows)
-        for lead in range(r):
-            for tail in product(range(ctx.q), repeat=r - lead - 1):
-                vec = list(rows[lead])
-                for c, row in zip(tail, rows[lead + 1:]):
-                    if c:
-                        for i in range(d):
-                            if row[i]:
-                                vec[i] = add(vec[i], mul(c, row[i]))
-                bits |= 1 << self._point_lookup[tuple(vec)]
+        for lead in range(len(rows)):
+            vecs = [rows[lead]]
+            for row in rows[lead + 1:]:
+                multiples = [[mul[c][a] for a in row] for c in scalars]
+                vecs += [tuple(add[a][b] for a, b in zip(v, m))
+                         for v in vecs for m in multiples]
+            for v in vecs:
+                bits |= 1 << lookup[v]
         return bits
 
+    def _subspace(self, key: tuple[int, ...], point_bits: int) -> SingularSubspace:
+        d = self.dim
+        rows = [key[i:i + d] for i in range(0, len(key), d)]
+        return SingularSubspace(linalg.element_rows(self.ctx, rows), key,
+                                point_bits, len(rows) - 1)
+
     def _subspace_from_rows(self, rows) -> SingularSubspace:
+        """The subspace spanned by rows of element indices, canonicalised."""
         self.points()
-        basis = linalg.rref(rows)
-        key = linalg.basis_key(basis)
-        return SingularSubspace(basis, key, self._span_point_bits(basis),
-                                len(basis) - 1)
+        basis = linalg.rref_i(self.ctx, rows)
+        return self._subspace(sum(basis, ()), self._span_point_bits(basis))
 
     def _level_cache_io(self, d: int, level: list[SingularSubspace] | None):
         if self._cache_dir is None:
@@ -253,11 +253,7 @@ class PolarSpace:
             entries = _cache.read_jsonl(path, header)
             if entries is None:
                 return None
-            out = []
-            for rows in entries:
-                basis = tuple(tuple(self.ctx.element(c) for c in row) for row in rows)
-                out.append(self._subspace_from_rows(basis))
-            return out
+            return [self._subspace_from_rows(rows) for rows in entries]
         _cache.write_jsonl(path, header,
                            [[list(row) for row in zip(*[iter(s.key)] * self.dim)]
                             for s in level])
@@ -277,7 +273,8 @@ class PolarSpace:
             self._levels[d] = cached
             return cached
         if d == 0:
-            level = [self._subspace_from_rows((p.rep,)) for p in self.points()]
+            self.points()
+            level = [self._subspace_from_rows((key,)) for key in self._point_keys]
             level.sort(key=lambda s: s.key)
         else:
             level = self._extend_level(prev)
@@ -288,21 +285,27 @@ class PolarSpace:
         return level
 
     def _extend_level(self, prev: list[SingularSubspace]) -> list[SingularSubspace]:
-        pts = self.points()
+        ctx, d = self.ctx, self.dim
         collin = self.collinearity_bits()
-        seen: dict[tuple[int, ...], tuple] = {}
+        reps = self._point_keys
+        # flat key -> point bits of every extension found so far
+        seen: dict[tuple[int, ...], int] = {}
         for sub in prev:
+            rows = tuple(sub.key[i:i + d] for i in range(0, len(sub.key), d))
             cand = -1
-            for pi in sub.point_indices():
+            for pi in bit_indices(sub.point_bits):
                 cand &= collin[pi]
-            bits = cand & ~sub.point_bits
-            while bits:
-                lsb = bits & -bits
-                pi = lsb.bit_length() - 1
-                bits ^= lsb
-                basis = linalg.rref(sub.basis + (pts[pi].rep,))
-                seen.setdefault(linalg.basis_key(basis), basis)
-        return [self._subspace_from_rows(seen[k]) for k in sorted(seen)]
+            cand &= ~sub.point_bits
+            while cand:
+                p = reps[(cand & -cand).bit_length() - 1]
+                basis = linalg.rref_i(ctx, rows + (p,))
+                key = sum(basis, ())
+                bits = seen.get(key)
+                if bits is None:
+                    bits = seen[key] = self._span_point_bits(basis)
+                # every point of <sub, p> outside sub spans the same extension
+                cand &= ~bits
+        return [self._subspace(k, seen[k]) for k in sorted(seen)]
 
     def rank(self) -> int:
         """Rank n: maximal singular subspaces have projective dimension n-1."""
@@ -378,8 +381,8 @@ class PolarSpace:
         pairs = []
         for i in range(len(sigma)):
             for j in range(i + 1, len(sigma)):
-                a = _bits_to_tuple(sigma[i].point_bits & ~L.point_bits)
-                b = _bits_to_tuple(sigma[j].point_bits & ~L.point_bits)
+                a = bit_indices(sigma[i].point_bits & ~L.point_bits)
+                b = bit_indices(sigma[j].point_bits & ~L.point_bits)
                 pairs.append((a, b) if a <= b else (b, a))
         pairs.sort()
         return pairs
@@ -401,16 +404,17 @@ class PolarSpace:
         basis = linalg.rref(rows)
         if not forms.is_totally_singular(self.form, basis):
             raise NotPairwiseCollinear("the span is not totally singular")
-        return self._subspace_from_rows(basis)
+        return self._subspace_from_rows([linalg.vec_key(r) for r in basis])
 
     def subspace_for_basis(self, rows) -> SingularSubspace:
         basis = linalg.rref(rows)
         if not forms.is_totally_singular(self.form, basis):
             raise NotSingular("basis does not span a totally singular subspace")
-        return self._subspace_from_rows(basis)
+        return self._subspace_from_rows([linalg.vec_key(r) for r in basis])
 
 
-def _bits_to_tuple(bits: int) -> tuple[int, ...]:
+def bit_indices(bits: int) -> tuple[int, ...]:
+    """Indices of the set bits of a bitset, in increasing order."""
     out = []
     while bits:
         lsb = bits & -bits

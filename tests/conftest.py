@@ -89,3 +89,41 @@ def vo_minus_3():
 
 def pentagon():
     return graphs.graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+
+
+def reference_rref(rows):
+    """Element-level reduced row-echelon form, as linalg.rref computed it
+    before it ran on index tuples; kept as the reference for the int core."""
+    work = [list(r) for r in rows]
+    if not work:
+        return ()
+    dim = len(work[0])
+    out = []
+    pivot_cols = []
+    for col in range(dim):
+        pivot_row = None
+        for r in work:
+            if not r[col].is_zero():
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        work.remove(pivot_row)
+        inv = pivot_row[col] ** (-1)
+        pivot_row = [inv * a for a in pivot_row]
+        for r in work:
+            c = r[col]
+            if not c.is_zero():
+                for j in range(col, dim):
+                    r[j] = r[j] - c * pivot_row[j]
+        for r in out:
+            c = r[col]
+            if not c.is_zero():
+                for j in range(col, dim):
+                    r[j] = r[j] - c * pivot_row[j]
+        out.append(pivot_row)
+        pivot_cols.append(col)
+        if not work:
+            break
+    order = sorted(range(len(out)), key=lambda i: pivot_cols[i])
+    return tuple(tuple(out[i]) for i in order)

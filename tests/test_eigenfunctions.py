@@ -28,6 +28,14 @@ def test_wdb_rejects_other_eigenvalues(sp42):
         wdb(params.k, params)
 
 
+def test_wdb_raises_when_bound_and_spectrum_disagree(sp42, monkeypatch):
+    params = graphs.srg_check(sp42)
+    wrong = graphs.SpectrumInfo(theta1=2, theta2=-3, m1=0, m2=0)
+    monkeypatch.setattr(ef.graphs, "spectrum", lambda _params: wrong)
+    with pytest.raises(ef.EigenfunctionError):
+        wdb(2, params)
+
+
 def test_all_ones_is_a_principal_eigenfunction(sp42):
     f = Eigenfunction({i: Fraction(1) for i in range(sp42.n)}, 6, {})
     report = verify_eigenfunction(sp42, f)

@@ -146,6 +146,13 @@ def test_norm_minus_one_unit_examples():
     assert eps49 ** 8 == -f49.one
 
 
+def test_norm_minus_one_unit_raises_when_the_norm_is_wrong(monkeypatch):
+    # a non-primitive "generator" gives a unit whose norm is not -1
+    monkeypatch.setattr(gf, "primitive_element", lambda ctx: ctx.one)
+    with pytest.raises(gf.FieldError):
+        norm_minus_one_unit(field_new(3, 2))
+
+
 def test_norm_minus_one_unit_rejects_even_characteristic():
     with pytest.raises(EvenCharacteristic):
         norm_minus_one_unit(field_new(2, 2))

@@ -1,9 +1,11 @@
 import itertools
+import json
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from conftest import make_space
+from conftest import make_space, reference_rref
 from polareig import forms, linalg, polarspace
 from polareig.gf import field_new
 from polareig.polarspace import (
@@ -261,3 +263,68 @@ def test_cache_header_mismatch_triggers_recompute(tmp_path):
     target.write_text('{"family":"sp","stale":true}\n[[0,0,0,0]]\n')
     fresh = polarspace.PolarSpace(form, cache_dir=tmp_path)
     assert len(fresh.subspaces(1)) == 15
+
+
+def _naive_extension(space, prev):
+    """Keys of the next level: one element-level rref per (subspace,
+    collinear point), as the enumeration ran before it struck spans."""
+    pts = space.points()
+    collin = space.collinearity_bits()
+    seen = set()
+    for sub in prev:
+        cand = -1
+        for pi in sub.point_indices():
+            cand &= collin[pi]
+        for pi in range(len(pts)):
+            if cand >> pi & 1 and not sub.point_bits >> pi & 1:
+                seen.add(linalg.basis_key(reference_rref(sub.basis + (pts[pi].rep,))))
+    return sorted(seen)
+
+
+def _gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _closed_form_count(n, k, q, e):
+    """N_k = [n k]_q * prod_{i=n-k+1..n} (q^(i+e-1) + 1); 2e is an integer."""
+    value = _gaussian_binomial(n, k, q)
+    for i in range(n - k + 1, n + 1):
+        power = q ** int(2 * (i + e - 1))
+        root = isqrt(power)
+        assert root * root == power
+        value *= root + 1
+    return value
+
+
+@pytest.mark.parametrize("family,dim,p,k,e", [
+    ("sp", 4, 3, 1, Fraction(1)),   # sp:2:3
+    ("o", 5, 3, 1, Fraction(1)),    # o:2:3
+    ("o+", 6, 2, 1, Fraction(0)),   # o+:3:2
+    ("o-", 6, 2, 1, Fraction(2)),   # o-:2:2
+    ("u", 4, 2, 2, Fraction(1, 2)),  # u:2:4
+])
+def test_levels_match_naive_extension_and_closed_form(family, dim, p, k, e):
+    space = polarspace.PolarSpace(forms.standard_form(family, dim, field_new(p, k)))
+    n = space.rank()
+    assert [s.key for s in space.subspaces(0)] == [pt.key() for pt in space.points()]
+    for d in range(n):
+        level = space.subspaces(d)
+        if d:
+            assert [s.key for s in level] == _naive_extension(space, space.subspaces(d - 1))
+        assert len(level) == _closed_form_count(n, d + 1, space.ctx.q, e)
+
+
+def test_cache_rows_are_recanonicalised(tmp_path):
+    form = forms.standard_form("sp", 4, field_new(3, 1))
+    lines = [s.key for s in polarspace.PolarSpace(form, cache_dir=tmp_path).subspaces(1)]
+    target = next(f for f in tmp_path.iterdir() if "lvl1" in f.name)
+    header, *entries = target.read_text().splitlines()
+    # reversed rows are a basis of the same line, but not its reduced form
+    target.write_text("\n".join([header] + [
+        json.dumps(json.loads(line)[::-1]) for line in entries]) + "\n")
+    reread = polarspace.PolarSpace(form, cache_dir=tmp_path).subspaces(1)
+    assert [s.key for s in reread] == lines
