@@ -22,13 +22,12 @@ INSTANCES = [
 
 
 def main():
-    workers = int(sys.argv[1]) if len(sys.argv) > 1 else 1
     start = time.time()
     for family, size, q in INSTANCES:
         n = size if family not in ("vo+", "vo-") else None
         m = size if family in ("vo+", "vo-") else None
         g = cli.build_graph(family, q, n, m)
-        comparison = oracle.count_comparison(g, workers=workers)
+        comparison = oracle.count_comparison(g)
         print(json.dumps(comparison.to_json(), sort_keys=True))
     print(f"total {time.time() - start:.1f}s", file=sys.stderr)
 

@@ -52,14 +52,14 @@ def write_jsonl(path: Path, header: dict, lines: list) -> None:
 
 
 def read_jsonl(path: Path, expect_header: dict) -> list | None:
-    """Entries if the file exists and its header matches, else None."""
+    """Entries if the file exists, its header matches and every line parses,
+    else None."""
     if not path.is_file():
         return None
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
+        try:
+            if json.loads(fh.readline()) != expect_header:
+                return None
+            return [json.loads(line) for line in fh if line.strip()]
+        except ValueError:  # an empty or truncated line, or bytes that are not UTF-8
             return None
-        header = json.loads(first)
-        if header != expect_header:
-            return None
-        return [json.loads(line) for line in fh if line.strip()]

@@ -52,6 +52,8 @@ def build_graph(family: str, q: int, n: int | None, m: int | None,
     if family in ("vo+", "vo-"):
         if m is None:
             raise ConfigError("affine families need --m")
+        if m < 1:
+            raise ConfigError(f"m = {m} must be >= 1")
         if q ** (2 * m) > cap:
             raise CapError(f"q^(2m) = {q ** (2 * m)} exceeds the vertex cap {cap}")
         return graphs.affine_polar_graph(m, 1 if family == "vo+" else -1, ctx,
@@ -136,7 +138,6 @@ def _common_options(fn):
                       help="vertex cap")(fn)
     fn = click.option("--cache-dir", default=None,
                       help=f"subspace/catalog cache (or ${_cache.ENV_VAR})")(fn)
-    fn = click.option("--workers", type=int, default=1, show_default=True)(fn)
     return fn
 
 
@@ -150,7 +151,7 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(sorted(serialize.GRAPH_FORMATS)),
               default=None, help="also export the graph in this format")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def build(family, q, n, m, cap, cache_dir, workers, fmt, out):
+def build(family, q, n, m, cap, cache_dir, fmt, out):
     """Build a graph, verify strong regularity, print the parameter summary."""
     g = _build_or_exit(family, q, n, m, cap, cache_dir)
     try:
@@ -172,8 +173,10 @@ def build(family, q, n, m, cap, cache_dir, workers, fmt, out):
 @click.option("--format", "fmt", type=click.Choice(("json", "csv")), default="json",
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def eigenfunction(family, q, n, m, cap, cache_dir, workers, construct, fmt, out):
+def eigenfunction(family, q, n, m, cap, cache_dir, construct, fmt, out):
     """Run a construction, verify it, and write the eigenfunction file."""
+    if construct == "theta2-unitary" and (family != "u" or n not in (None, 2)):
+        raise SystemExit(_fail(2, "theta2-unitary needs family u with --n 2"))
     g = _build_or_exit(family, q, n, m, cap, cache_dir)
     try:
         f = _construct(g, construct)
@@ -219,10 +222,10 @@ def _construct(g: graphs.PolarGraph, name: str) -> ef.Eigenfunction:
 @_common_options
 @click.option("--kind", type=click.Choice(("isolated", "bipartite")),
               default="isolated", show_default=True)
-@click.option("--size", "size", type=int, default=None,
+@click.option("--size", "size", type=click.IntRange(min=1), default=None,
               help="part size (default: theta1+1 or -theta2)")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def enumerate_pairs(family, q, n, m, cap, cache_dir, workers, kind, size, out):
+def enumerate_pairs(family, q, n, m, cap, cache_dir, kind, size, out):
     """Exhaustively catalogue isolated-clique or complete-bipartite pairs."""
     g = _build_or_exit(family, q, n, m, cap, cache_dir)
     params = g.srg_params()
@@ -230,9 +233,9 @@ def enumerate_pairs(family, q, n, m, cap, cache_dir, workers, kind, size, out):
     if size is None:
         size = spec.theta1 + 1 if kind == "isolated" else -spec.theta2
     if kind == "isolated":
-        catalog = oracle.enumerate_isolated_clique_pairs(g, size, workers=workers)
+        catalog = oracle.enumerate_isolated_clique_pairs(g, size)
     else:
-        catalog = oracle.enumerate_bipartite_pairs(g, size, workers=workers)
+        catalog = oracle.enumerate_bipartite_pairs(g, size)
     header, lines = serialize.catalog_json_lines(catalog, g.provenance)
     target = out
     if target is None:
@@ -252,11 +255,11 @@ def enumerate_pairs(family, q, n, m, cap, cache_dir, workers, kind, size, out):
 
 @main.command("count-check")
 @_common_options
-def count_check(family, q, n, m, cap, cache_dir, workers):
+def count_check(family, q, n, m, cap, cache_dir):
     """Compare the enumerated pair count with the closed formulas (exit 5 on mismatch)."""
     g = _build_or_exit(family, q, n, m, cap, cache_dir)
     try:
-        comparison = oracle.count_comparison(g, workers=workers)
+        comparison = oracle.count_comparison(g)
     except oracle.OracleError as exc:
         raise SystemExit(_fail(2, str(exc)))
     _echo_json(comparison.to_json())
@@ -284,8 +287,14 @@ def verify(graph_spec, function_path, theta, cap, cache_dir):
         f = serialize.load_eigenfunction(function_path)
     except OSError as exc:
         raise SystemExit(_fail(6, f"cannot read {function_path}: {exc}"))
-    except (ValueError, KeyError, serialize.SerializeError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, ZeroDivisionError,
+            serialize.SerializeError) as exc:
         raise SystemExit(_fail(2, f"malformed eigenfunction file: {exc}"))
+    stored = {key: f.graph_ref[key] for key in ("family", "q", "dim") if key in f.graph_ref}
+    built = {key: g.provenance[key] for key in stored}
+    if stored != built:
+        raise SystemExit(_fail(2, f"the function was made for {_cache.dumps_canonical(stored)},"
+                                  f" but --graph {graph_spec} is {_cache.dumps_canonical(built)}"))
     if theta is not None:
         f.theta = theta
     try:
@@ -307,6 +316,8 @@ def _build_or_exit(family, q, n, m, cap, cache_dir) -> graphs.PolarGraph:
         raise SystemExit(_fail(2, str(exc)))
     except CapError as exc:
         raise SystemExit(_fail(3, str(exc)))
+    except OSError as exc:
+        raise SystemExit(_fail(6, f"cache I/O error: {exc}"))
 
 
 def _write_or_exit(path, text):

@@ -335,12 +335,13 @@ def delsarte_cliques(g: PolarGraph, params: SrgParams | None = None,
         return []
     s = int(bound)
     nexus = Fraction(params.mu, -spec.theta2)
+    count = int(nexus) if nexus.denominator == 1 else None
     out = []
     for bits in cliques_of_size(g, s):
-        ok = nexus.denominator == 1 and all(
-            (g.adj[u] & bits).bit_count() == nexus
+        ok = count is not None and all(
+            (g.adj[u] & bits).bit_count() == count
             for u in range(g.n) if not bits >> u & 1)
-        out.append(CliqueInfo(bit_indices(bits), ok, int(nexus) if ok else None))
+        out.append(CliqueInfo(bit_indices(bits), ok, count if ok else None))
     out.sort(key=lambda c: c.vertices)
     return out
 
@@ -353,6 +354,8 @@ def max_intersecting_delsarte_pair(g: PolarGraph) -> tuple[CliqueInfo, CliqueInf
     cliques = [c for c in delsarte_cliques(g) if c.is_delsarte]
     if len(cliques) < 2:
         raise FewerThanTwoCliques(f"found {len(cliques)} Delsarte cliques")
+    # No pair meets in more than the nexus (a vertex of D outside C sees all
+    # of C ∩ D and exactly nexus vertices of C), so the first to reach it wins.
     bits = [c.bits() for c in cliques]
     best = None
     best_size = -1
@@ -363,6 +366,8 @@ def max_intersecting_delsarte_pair(g: PolarGraph) -> tuple[CliqueInfo, CliqueInf
             if inter > best_size:
                 best_size = inter
                 best = (cliques[i], cliques[j])
+                if inter == cliques[0].nexus:
+                    return best
     return best
 
 

@@ -3,9 +3,11 @@
 Everything here is exhaustive enumeration at desk scale: catalogues of
 isolated clique pairs and induced complete bipartite pairs, witness
 decompositions for every catalogued pair, and cross-checks of the closed
-counting formulas against the enumerated counts.  Where a printed formula
-and the enumeration disagree, the enumeration is authoritative and the
-disagreement is reported as data.
+counting formulas against the enumerated counts.  The scans run in one
+process; the isolated scan finds a clique's partners through a
+vertex-to-clique index.  Where a printed formula and the enumeration
+disagree, the enumeration is authoritative and the disagreement is
+reported as data.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from . import forms, graphs, linalg, parallel
+from . import forms, graphs, linalg
 from .graphs import PolarGraph
 from .polarspace import NotPairwiseCollinear, NotSingular, PolarSpace, bit_indices
 
@@ -100,37 +102,29 @@ def _pair_key(b0: int, b1: int) -> tuple:
 
 # -- isolated clique pairs -----------------------------------------------------
 
-def _isolated_worker(payload):
-    cliques, forbidden, lo, hi = payload
-    out = []
-    n = len(cliques)
-    for i in range(lo, hi):
-        f = forbidden[i]
-        ci = cliques[i]
-        for j in range(i + 1, n):
-            if cliques[j] & f == 0:
-                out.append((ci, cliques[j]))
-    return out
-
-
-def enumerate_isolated_clique_pairs(g: PolarGraph, s: int,
-                                    workers: int = 1) -> PairCatalog:
+def enumerate_isolated_clique_pairs(g: PolarGraph, s: int) -> PairCatalog:
     """Every unordered pair of s-cliques with no vertices or edges in common."""
     if s < 1:
         raise OracleError("s must be >= 1")
     cliques = graphs.cliques_of_size(g, s)
-    forbidden = []
-    for bits in cliques:
-        f = bits
+    # containing[v]: bitset over clique indices of the cliques through v
+    containing = [0] * g.n
+    for i, bits in enumerate(cliques):
         for v in bit_indices(bits):
-            f |= g.adj[v]
-        forbidden.append(f)
-    payloads = [(cliques, forbidden, lo, hi)
-                for lo, hi in parallel.chunk_ranges(len(cliques), workers)]
-    raw = []
-    for chunk in parallel.run_chunked(_isolated_worker, payloads, workers):
-        raw.extend(chunk)
-    pairs = sorted(_pair_key(b0, b1) for b0, b1 in raw)
+            containing[v] |= 1 << i
+    everything = (1 << len(cliques)) - 1
+    pairs = []
+    for i, ci in enumerate(cliques):
+        forbidden = ci
+        for v in bit_indices(ci):
+            forbidden |= g.adj[v]
+        # a clique meeting the clique or its neighbourhood is not a partner
+        blocked = 0
+        for v in bit_indices(forbidden):
+            blocked |= containing[v]
+        later = (everything ^ blocked) >> (i + 1) << (i + 1)
+        pairs.extend(_pair_key(ci, cliques[j]) for j in bit_indices(later))
+    pairs.sort()
     return PairCatalog("isolated_cliques", s, tuple(pairs), None)
 
 
@@ -154,26 +148,7 @@ def _independent_sets_within(comp_adj, pool_bits: int, s: int) -> list[int]:
     return out
 
 
-def _bipartite_worker(payload):
-    adj, comp_adj, firsts, s, lo, hi = payload
-    out = []
-    for i in range(lo, hi):
-        a = firsts[i]
-        members = bit_indices(a)
-        cn = -1
-        for v in members:
-            cn &= adj[v]
-        cn &= ~a
-        lead = members[0]
-        for b in _independent_sets_within(comp_adj, cn, s):
-            # count each unordered pair once: b's least vertex comes after a's
-            if (b & -b).bit_length() - 1 > lead:
-                out.append((a, b))
-    return out
-
-
-def enumerate_bipartite_pairs(g: PolarGraph, s: int,
-                              workers: int = 1) -> PairCatalog:
+def enumerate_bipartite_pairs(g: PolarGraph, s: int) -> PairCatalog:
     """Every induced K_{s,s}, classified by the outside-regularity property.
 
     Parts are independent s-sets with all cross edges present; a pair is
@@ -185,25 +160,24 @@ def enumerate_bipartite_pairs(g: PolarGraph, s: int,
     n = g.n
     full = (1 << n) - 1
     comp_adj = [full ^ g.adj[i] ^ (1 << i) for i in range(n)]
-    firsts = _independent_sets_within(comp_adj, full, s)
-    payloads = [(g.adj, comp_adj, firsts, s, lo, hi)
-                for lo, hi in parallel.chunk_ranges(len(firsts), workers)]
-    raw = []
-    for chunk in parallel.run_chunked(_bipartite_worker, payloads, workers):
-        raw.extend(chunk)
-    pairs = sorted(_pair_key(a, b) for a, b in raw)
-    flags = []
-    for t0, t1 in pairs:
-        b0 = b1 = 0
-        for x in t0:
-            b0 |= 1 << x
-        for x in t1:
-            b1 |= 1 << x
-        both = b0 | b1
-        flags.append(all(
-            (g.adj[u] & b0).bit_count() == (g.adj[u] & b1).bit_count()
-            for u in range(n) if not both >> u & 1))
-    return PairCatalog("complete_bipartite", s, tuple(pairs), tuple(flags))
+    found = []
+    for a in _independent_sets_within(comp_adj, full, s):
+        members = bit_indices(a)
+        cn = -1
+        for v in members:
+            cn &= g.adj[v]
+        cn &= ~a
+        lead = members[0]
+        for b in _independent_sets_within(comp_adj, cn, s):
+            # count each unordered pair once: b's least vertex comes after a's
+            if (b & -b).bit_length() - 1 > lead:
+                found.append((_pair_key(a, b), a, b))
+    found.sort()  # keys are distinct, so the bitsets are never compared
+    flags = [all((g.adj[u] & a).bit_count() == (g.adj[u] & b).bit_count()
+                 for u in range(n) if not (a | b) >> u & 1)
+             for _, a, b in found]
+    return PairCatalog("complete_bipartite", s, tuple(key for key, _, _ in found),
+                       tuple(flags))
 
 
 # -- witness decompositions ---------------------------------------------------
@@ -411,12 +385,12 @@ def derived_elliptic_count(space: PolarSpace, m: int) -> int:
     return len(space.maximals()) * q ** (m - 1) * comb(q * q, 2)
 
 
-def count_comparison(g: PolarGraph, workers: int = 1) -> CountComparison:
+def count_comparison(g: PolarGraph) -> CountComparison:
     """Enumerated pair count against the printed and proof-derived formulas."""
     params = g.srg_params()
     spec = graphs.spectrum(params)
     s = spec.theta1 + 1
-    catalog = enumerate_isolated_clique_pairs(g, s, workers=workers)
+    catalog = enumerate_isolated_clique_pairs(g, s)
     fam = g.provenance["family"]
     space: PolarSpace = g.space
     if g.provenance.get("kind") in ("collinearity", "unitary"):

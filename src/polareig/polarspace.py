@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import isqrt
 
 from . import cache as _cache
 from . import forms, linalg
@@ -110,6 +111,21 @@ def _expected_e(family: str, dim: int) -> Fraction:
     if family in fixed:
         return fixed[family]
     return Fraction(1, 2) if dim % 2 == 0 else Fraction(3, 2)
+
+
+def singular_subspace_count(family: str, dim: int, q: int, k: int) -> int:
+    """N_k = [n k]_q * prod_{i=n-k+1..n} (q^(i+e-1) + 1), the number of totally
+    singular k-spaces at rank n; q is a square when e is half-integral."""
+    n = (dim - {"o": 1, "o-": 2}.get(family, 0)) // 2
+    if k > n:
+        return 0
+    two_e = int(2 * _expected_e(family, dim))
+    value = 1
+    for i in range(k):
+        value = value * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+    for i in range(n - k + 1, n + 1):
+        value *= isqrt(q ** (2 * i + two_e - 2)) + 1
+    return value
 
 
 class PolarSpace:
@@ -250,14 +266,30 @@ class PolarSpace:
             "level": d,
         }
         if level is None:
+            # a damaged file is a miss, so the level is enumerated and rewritten
             entries = _cache.read_jsonl(path, header)
             if entries is None:
                 return None
-            return [self._subspace_from_rows(rows) for rows in entries]
+            try:
+                level = [self._subspace_from_rows(rows) for rows in entries]
+            except (TypeError, ValueError, IndexError, KeyError):
+                return None
+            return level if self._is_whole_level(d, level) else None
         _cache.write_jsonl(path, header,
                            [[list(row) for row in zip(*[iter(s.key)] * self.dim)]
                             for s in level])
         return None
+
+    def _is_whole_level(self, d: int, level: list[SingularSubspace]) -> bool:
+        """Whether level holds N_k distinct totally singular k-spaces
+        (k = d + 1) in key order: only the whole level does."""
+        collin = self.collinearity_bits()
+        return (len(level) == singular_subspace_count(self.family, self.dim,
+                                                      self.ctx.q, d + 1)
+                and all(a.key < b.key for a, b in zip(level, level[1:]))
+                and all(len(sub.key) == (d + 1) * self.dim for sub in level)
+                and all((collin[p] | 1 << p) & sub.point_bits == sub.point_bits
+                        for sub in level for p in bit_indices(sub.point_bits)))
 
     def subspaces(self, d: int) -> list[SingularSubspace]:
         """All totally singular subspaces of projective dimension d, sorted."""

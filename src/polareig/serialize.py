@@ -93,7 +93,10 @@ def eigenfunction_csv(f: Eigenfunction) -> str:
 def eigenfunction_from_json(text: str) -> Eigenfunction:
     payload = json.loads(text)
     values = {int(v): Fraction(num, den) for v, num, den in payload["entries"]}
-    return Eigenfunction(values, int(payload["theta"]), payload.get("graph", {}))
+    graph = payload.get("graph", {})
+    if not isinstance(graph, dict):
+        raise SerializeError('"graph" must be an object')
+    return Eigenfunction(values, int(payload["theta"]), graph)
 
 
 def eigenfunction_from_csv(text: str) -> Eigenfunction:

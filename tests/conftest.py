@@ -2,6 +2,7 @@ import pytest
 
 from polareig import forms, graphs, polarspace
 from polareig.gf import field_new
+from polareig.polarspace import bit_indices
 
 
 def make_space(family, dim, p, k=1):
@@ -127,3 +128,20 @@ def reference_rref(rows):
             break
     order = sorted(range(len(out)), key=lambda i: pivot_cols[i])
     return tuple(tuple(out[i]) for i in order)
+
+
+def reference_isolated_pairs(g, s):
+    """Isolated s-clique pairs by testing every pair of cliques, as the oracle
+    scanned them before it used a vertex-to-clique index; kept as the
+    reference for that scan."""
+    cliques = graphs.cliques_of_size(g, s)
+    out = []
+    for i, ci in enumerate(cliques):
+        forbidden = ci
+        for v in bit_indices(ci):
+            forbidden |= g.adj[v]
+        for cj in cliques[i + 1:]:
+            if cj & forbidden == 0:
+                t0, t1 = bit_indices(ci), bit_indices(cj)
+                out.append((t0, t1) if t0 <= t1 else (t1, t0))
+    return sorted(out)

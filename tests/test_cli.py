@@ -193,8 +193,67 @@ def test_cli_output_is_deterministic():
     a = run("build", "--family", "u", "--q", "4")
     b = run("build", "--family", "u", "--q", "4")
     assert a.output == b.output
-    w1 = run("count-check", "--family", "sp", "--n", "2", "--q", "3",
-             "--workers", "1")
-    w8 = run("count-check", "--family", "sp", "--n", "2", "--q", "3",
-             "--workers", "8")
-    assert w1.output == w8.output
+    c1 = run("count-check", "--family", "sp", "--n", "2", "--q", "3")
+    c2 = run("count-check", "--family", "sp", "--n", "2", "--q", "3")
+    assert c1.exit_code == c2.exit_code == 0
+    assert c1.output == c2.output
+
+
+def _sp22_function(tmp_path):
+    path = tmp_path / "sp22.json"
+    assert run("eigenfunction", "--family", "sp", "--n", "2", "--q", "2",
+               "--construct", "theta1-polar", "--out", str(path)).exit_code == 0
+    return str(path)
+
+
+def _file_with(name, text):
+    def make(tmp_path):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+    return make
+
+
+@pytest.mark.parametrize("args,code", [
+    (("build", "--family", "sp", "--n", "2", "--q", "2",
+      "--cache-dir", lambda t: str(t / "file" / "sub")), 6),
+    (("enumerate", "--family", "sp", "--n", "2", "--q", "2", "--size", "0"), 2),
+    (("enumerate", "--family", "sp", "--n", "2", "--q", "2",
+      "--kind", "bipartite", "--size", "-1"), 2),
+    (("build", "--family", "vo+", "--m", "0", "--q", "2"), 2),
+    (("build", "--family", "sp", "--n", "0", "--q", "2"), 2),
+    (("build", "--family", "sp", "--n", "2", "--q", "1"), 2),
+    (("build", "--family", "sp", "--n", "2", "--q", "2", "--cap", "-1"), 3),
+    (("eigenfunction", "--family", "sp", "--n", "3", "--q", "3",
+      "--construct", "theta2-unitary"), 2),
+    (("eigenfunction", "--family", "u", "--n", "3", "--q", "4",
+      "--construct", "theta2-unitary"), 2),
+    (("verify", "--graph", "sp:3:2", "--function", _sp22_function), 2),
+    (("verify", "--graph", "vo+:0:2", "--function", _sp22_function), 2),
+    (("verify", "--graph", "sp:2:2", "--function", _sp22_function), 0),
+    (("verify", "--graph", "sp:2:2",
+      "--function", _file_with("list.json", "[1]")), 2),
+    (("verify", "--graph", "sp:2:2",
+      "--function", _file_with("graph.json", '{"graph":5,"theta":1,"entries":[]}')), 2),
+    (("verify", "--graph", "sp:2:2",
+      "--function", _file_with("zero.json", '{"theta":1,"entries":[[0,1,0]]}')), 2),
+    (("verify", "--graph", "sp:2:2", "--theta", "1",
+      "--function", _file_with("short.csv", "vertex,value\n0\n")), 2),
+    (("verify", "--graph", "sp:2:2", "--function",
+      _file_with("far.json", '{"theta":1,"entries":[[99,1,1]]}')), 4),
+    (("verify", "--graph", "sp:2:2", "--function", lambda t: str(t / "none.json")), 6),
+])
+def test_cli_input_errors_exit_with_documented_codes(args, code, tmp_path):
+    (tmp_path / "file").write_text("not a directory")
+    argv = [a(tmp_path) if callable(a) else a for a in args]
+    result = run(*argv)
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        repr(result.exception)
+    assert result.exit_code in {0, 2, 3, 4, 5, 6}
+    assert result.exit_code == code, result.output
+
+
+def test_verify_names_both_graphs_on_a_mismatch(tmp_path):
+    result = run("verify", "--graph", "o-:2:2", "--function", _sp22_function(tmp_path))
+    assert result.exit_code == 2
+    assert '"family":"sp"' in result.output and '"family":"o-"' in result.output

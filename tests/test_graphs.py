@@ -116,10 +116,15 @@ def test_delsarte_cliques_affine_and_unitary(vo_plus_2, vo_minus_2, u44):
     assert len(uu) == 27 and all(len(c) == 5 and c.nexus == 1 for c in uu)
 
 
-def test_max_intersecting_pair_examples(sp42, rook_o42, vo_plus_2):
-    for g, expected in ((sp42, 1), (rook_o42, 1), (vo_plus_2, 2)):
+def test_max_intersecting_pair_examples(sp42, rook_o42, vo_plus_2, u44, sp43):
+    for g, expected in ((sp42, 1), (rook_o42, 1), (vo_plus_2, 2), (u44, 1),
+                        (sp43, 1)):
         c0, c1 = max_intersecting_delsarte_pair(g)
         assert (c0.bits() & c1.bits()).bit_count() == expected
+        # the first pair of the full scan with the largest intersection
+        cliques = [c for c in delsarte_cliques(g) if c.is_delsarte]
+        assert (c0, c1) == max(itertools.combinations(cliques, 2),
+                               key=lambda p: (p[0].bits() & p[1].bits()).bit_count())
 
 
 def test_rook_same_regulus_lines_are_disjoint(rook_o42):

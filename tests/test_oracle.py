@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import reference_isolated_pairs
 from polareig import cache, eigenfunctions as ef, graphs, linalg, oracle, serialize
+from polareig.cli import build_graph
 from polareig.graphs import graph_from_edges
 from polareig.oracle import (
     WitnessNotFound, check_characterisation, count_comparison,
@@ -162,21 +164,20 @@ def test_catalog_counts_are_shift_invariant(vo_plus_2, vo_minus_2):
             assert len(enumerate_isolated_clique_pairs(relabeled, s)) == base
 
 
-def test_enumeration_is_worker_count_independent(sp43):
-    one = enumerate_isolated_clique_pairs(sp43, 3, workers=1)
-    four = enumerate_isolated_clique_pairs(sp43, 3, workers=4)
-    assert one.pairs == four.pairs
-    b1 = enumerate_bipartite_pairs(sp43, 4, workers=1)
-    b4 = enumerate_bipartite_pairs(sp43, 4, workers=4)
-    assert b1.pairs == b4.pairs and b1.outside_regular == b4.outside_regular
-
-
-def test_catalog_files_are_byte_identical_across_worker_counts(sp42, tmp_path):
+@pytest.mark.parametrize("family,size,q", [
+    ("sp", 2, 3), ("sp", 2, 2), ("u", 2, 4), ("o+", 3, 2), ("vo+", 2, 2),
+    ("vo-", 2, 2),
+])
+def test_isolated_catalog_matches_reference(family, size, q, tmp_path):
+    affine = family.startswith("vo")
+    g = build_graph(family, q, None if affine else size, size if affine else None)
+    s = graphs.spectrum(g.srg_params()).theta1 + 1
     paths = []
-    for workers in (1, 8):
-        catalog = enumerate_isolated_clique_pairs(sp42, 2, workers=workers)
-        header, lines = serialize.catalog_json_lines(catalog, sp42.provenance)
-        path = tmp_path / f"catalog_w{workers}.jsonl"
+    for run in ("first", "second"):
+        catalog = enumerate_isolated_clique_pairs(g, s)
+        assert catalog.pairs and list(catalog.pairs) == reference_isolated_pairs(g, s)
+        header, lines = serialize.catalog_json_lines(catalog, g.provenance)
+        path = tmp_path / f"catalog_{run}.jsonl"
         cache.write_jsonl(path, header, lines)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import json
 from fractions import Fraction
@@ -248,6 +249,7 @@ def test_disk_cache_round_trip(tmp_path):
     assert files, "cache files should have been written"
     payload = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
     second = polarspace.PolarSpace(form, cache_dir=tmp_path)
+    second._extend_level = None  # a valid cache is read, never enumerated
     assert [s.key for s in second.subspaces(1)] == lines
     # a rewrite from the cached load must not change a byte
     third = polarspace.PolarSpace(form, cache_dir=tmp_path)
@@ -263,6 +265,41 @@ def test_cache_header_mismatch_triggers_recompute(tmp_path):
     target.write_text('{"family":"sp","stale":true}\n[[0,0,0,0]]\n')
     fresh = polarspace.PolarSpace(form, cache_dir=tmp_path)
     assert len(fresh.subspaces(1)) == 15
+
+
+@pytest.mark.parametrize("level,damage", [
+    (1, "truncate"), (0, "delete"), (1, "delete"), (1, "duplicate"),
+    (1, "empty"), (1, "not singular"),
+])
+def test_damaged_cache_file_is_a_miss(tmp_path, level, damage):
+    form = forms.standard_form("sp", 4, field_new(3, 1))
+    space = polarspace.PolarSpace(form, cache_dir=tmp_path)
+    keys = [[s.key for s in space.subspaces(d)] for d in (0, 1)]
+    payload = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    target = next(f for f in tmp_path.iterdir() if f"lvl{level}" in f.name)
+    text = target.read_text()
+    header, *lines = text.splitlines(keepends=True)
+    if damage == "truncate":  # cut the last line in half
+        lines[-1] = lines[-1][:len(lines[-1]) // 2]
+    elif damage == "delete":
+        del lines[2]
+    elif damage == "duplicate":  # the right number of lines, one of them twice
+        lines[2] = lines[1]
+    elif damage == "empty":  # no rows: sorts first, but spans nothing
+        lines[0] = "[]\n"
+    else:  # a line that is not totally isotropic, swapped in where it sorts
+        collin = space.collinearity_bits()
+        pts = [pt.key() for pt in space.points()]
+        a, b = next((a, b) for a, b in itertools.combinations(range(len(pts)), 2)
+                    if not collin[a] >> b & 1)
+        rows = linalg.rref_i(space.ctx, [pts[a], pts[b]])
+        i = min(bisect.bisect(keys[1], sum(rows, ())), len(lines) - 1)
+        lines[i] = json.dumps([list(r) for r in rows]) + "\n"
+    target.write_text(header + "".join(lines))
+    fresh = polarspace.PolarSpace(form, cache_dir=tmp_path)
+    assert [[s.key for s in fresh.subspaces(d)] for d in (0, 1)] == keys
+    # the damaged file is enumerated again and rewritten
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == payload
 
 
 def _naive_extension(space, prev):
@@ -316,6 +353,8 @@ def test_levels_match_naive_extension_and_closed_form(family, dim, p, k, e):
         if d:
             assert [s.key for s in level] == _naive_extension(space, space.subspaces(d - 1))
         assert len(level) == _closed_form_count(n, d + 1, space.ctx.q, e)
+        assert polarspace.singular_subspace_count(
+            family, dim, space.ctx.q, d + 1) == len(level)
 
 
 def test_cache_rows_are_recanonicalised(tmp_path):
