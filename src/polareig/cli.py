@@ -22,8 +22,14 @@ VERTEX_CAP = 8192
 
 GRAPH_FAMILIES = ("sp", "o+", "o", "o-", "u", "vo+", "vo-")
 
-CONSTRUCTIONS = ("theta1-polar", "theta1-hyperbolic", "theta1-elliptic",
-                 "theta1-cliquepair", "theta2-unitary")
+# construction -> the families it serves, each with the --n it needs (None: any)
+CONSTRUCTIONS = {
+    "theta1-polar": dict.fromkeys(("sp", "o+", "o", "o-", "u")),
+    "theta1-hyperbolic": {"vo+": None},
+    "theta1-elliptic": {"vo-": None},
+    "theta1-cliquepair": dict.fromkeys(GRAPH_FAMILIES),
+    "theta2-unitary": {"u": 2},
+}
 
 
 class ConfigError(Exception):
@@ -169,14 +175,17 @@ def build(family, q, n, m, cap, cache_dir, fmt, out):
 
 @main.command()
 @_common_options
-@click.option("--construct", required=True, type=click.Choice(CONSTRUCTIONS))
+@click.option("--construct", required=True, type=click.Choice(tuple(CONSTRUCTIONS)))
 @click.option("--format", "fmt", type=click.Choice(("json", "csv")), default="json",
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def eigenfunction(family, q, n, m, cap, cache_dir, construct, fmt, out):
     """Run a construction, verify it, and write the eigenfunction file."""
-    if construct == "theta2-unitary" and (family != "u" or n not in (None, 2)):
-        raise SystemExit(_fail(2, "theta2-unitary needs family u with --n 2"))
+    served = CONSTRUCTIONS[construct]
+    if family not in served or served[family] not in (None, 2 if n is None else n):
+        need = " or ".join(f if r is None else f"{f} with --n {r}"
+                           for f, r in served.items())
+        raise SystemExit(_fail(2, f"{construct} needs family {need}"))
     g = _build_or_exit(family, q, n, m, cap, cache_dir)
     try:
         f = _construct(g, construct)

@@ -5,15 +5,20 @@ isolated clique pairs and induced complete bipartite pairs, witness
 decompositions for every catalogued pair, and cross-checks of the closed
 counting formulas against the enumerated counts.  The scans run in one
 process; the isolated scan finds a clique's partners through a
-vertex-to-clique index.  Where a printed formula and the enumeration
-disagree, the enumeration is authoritative and the disagreement is
-reported as data.
+vertex-to-clique index.  The bipartite search grows each first part from
+its least vertex and carries the part's common neighbourhood above that
+vertex, where the whole partner lies; the neighbourhood only shrinks as
+the part grows, so a branch is pruned once it holds fewer than s
+vertices.  Outside-regularity compares bit-sliced neighbour counts of the
+two parts.  Where a printed formula and the enumeration disagree, the
+enumeration is authoritative and the disagreement is reported as data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 
 from . import forms, graphs, linalg
@@ -138,6 +143,8 @@ def _independent_sets_within(comp_adj, pool_bits: int, s: int) -> list[int]:
             out.append(bits)
             return
         rest = cand >> low << low
+        if rest.bit_count() < s - size:
+            return
         while rest:
             lsb = rest & -rest
             v = lsb.bit_length() - 1
@@ -146,6 +153,25 @@ def _independent_sets_within(comp_adj, pool_bits: int, s: int) -> list[int]:
 
     grow(0, 0, pool_bits, 0)
     return out
+
+
+def _counter_planes(adj, part: int) -> list[int]:
+    """Bit-sliced neighbour counts: bit u of plane i is bit i of |N(u) ∩ part|."""
+    planes = []
+    for v in bit_indices(part):
+        carry = adj[v]
+        for i, plane in enumerate(planes):
+            planes[i], carry = plane ^ carry, plane & carry
+        if carry:
+            planes.append(carry)
+    return planes
+
+
+def _same_counts(planes_a, planes_b, mask: int) -> bool:
+    """Whether two bit-sliced counters agree on every vertex of mask; the
+    shorter plane list reads as zero above its top plane."""
+    return not any((x ^ y) & mask
+                   for x, y in zip_longest(planes_a, planes_b, fillvalue=0))
 
 
 def enumerate_bipartite_pairs(g: PolarGraph, s: int) -> PairCatalog:
@@ -158,26 +184,39 @@ def enumerate_bipartite_pairs(g: PolarGraph, s: int) -> PairCatalog:
     if s < 1:
         raise OracleError("s must be >= 1")
     n = g.n
+    adj = g.adj
     full = (1 << n) - 1
-    comp_adj = [full ^ g.adj[i] ^ (1 << i) for i in range(n)]
+    comp_adj = [full ^ adj[i] ^ (1 << i) for i in range(n)]
     found = []
-    for a in _independent_sets_within(comp_adj, full, s):
-        members = bit_indices(a)
-        cn = -1
-        for v in members:
-            cn &= g.adj[v]
-        cn &= ~a
-        lead = members[0]
-        for b in _independent_sets_within(comp_adj, cn, s):
-            # count each unordered pair once: b's least vertex comes after a's
-            if (b & -b).bit_length() - 1 > lead:
-                found.append((_pair_key(a, b), a, b))
-    found.sort()  # keys are distinct, so the bitsets are never compared
-    flags = [all((g.adj[u] & a).bit_count() == (g.adj[u] & b).bit_count()
-                 for u in range(n) if not (a | b) >> u & 1)
-             for _, a, b in found]
-    return PairCatalog("complete_bipartite", s, tuple(key for key, _, _ in found),
-                       tuple(flags))
+
+    def grow(a, size, cand, cn):
+        # cand: later vertices independent of a; cn: a's common neighbours
+        # above its least vertex, where the whole partner lies
+        if size == s:
+            members = bit_indices(a)  # the key's first part: a's lead is below all of b
+            planes_a = _counter_planes(adj, a)
+            for b in _independent_sets_within(comp_adj, cn, s):
+                regular = _same_counts(planes_a, _counter_planes(adj, b), full ^ a ^ b)
+                found.append(((members, bit_indices(b)), regular))
+            return
+        if cand.bit_count() < s - size:
+            return
+        while cand:
+            lsb = cand & -cand
+            cand ^= lsb
+            v = lsb.bit_length() - 1
+            narrowed = cn & adj[v]
+            if narrowed.bit_count() >= s:
+                grow(a | lsb, size + 1, cand & comp_adj[v], narrowed)
+
+    for lead in range(n):
+        above = full >> (lead + 1) << (lead + 1)
+        cn = adj[lead] & above
+        if cn.bit_count() >= s:
+            grow(1 << lead, 1, comp_adj[lead] & above, cn)
+    found.sort()  # keys are distinct, so the flags are never compared
+    return PairCatalog("complete_bipartite", s, tuple(key for key, _ in found),
+                       tuple(regular for _, regular in found))
 
 
 # -- witness decompositions ---------------------------------------------------

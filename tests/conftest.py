@@ -145,3 +145,49 @@ def reference_isolated_pairs(g, s):
                 t0, t1 = bit_indices(ci), bit_indices(cj)
                 out.append((t0, t1) if t0 <= t1 else (t1, t0))
     return sorted(out)
+
+
+def _reference_independent_sets(comp_adj, pool_bits, s):
+    out = []
+
+    def grow(bits, size, cand, low):
+        if size == s:
+            out.append(bits)
+            return
+        rest = cand >> low << low
+        while rest:
+            lsb = rest & -rest
+            v = lsb.bit_length() - 1
+            rest ^= lsb
+            grow(bits | lsb, size + 1, cand & comp_adj[v], v + 1)
+
+    grow(0, 0, pool_bits, 0)
+    return out
+
+
+def reference_bipartite_pairs(g, s):
+    """Induced K_{s,s} pairs and their outside-regularity flags, as the oracle
+    found them before its pruned search: every independent s-set is listed as
+    a first part, and each flag loops over the outside vertices; kept as the
+    reference for that search."""
+    n = g.n
+    full = (1 << n) - 1
+    comp_adj = [full ^ g.adj[i] ^ (1 << i) for i in range(n)]
+    found = []
+    for a in _reference_independent_sets(comp_adj, full, s):
+        members = bit_indices(a)
+        cn = -1
+        for v in members:
+            cn &= g.adj[v]
+        cn &= ~a
+        lead = members[0]
+        for b in _reference_independent_sets(comp_adj, cn, s):
+            # count each unordered pair once: b's least vertex comes after a's
+            if (b & -b).bit_length() - 1 > lead:
+                t0, t1 = bit_indices(a), bit_indices(b)
+                found.append(((t0, t1) if t0 <= t1 else (t1, t0), a, b))
+    found.sort()  # keys are distinct, so the bitsets are never compared
+    flags = [all((g.adj[u] & a).bit_count() == (g.adj[u] & b).bit_count()
+                 for u in range(n) if not (a | b) >> u & 1)
+             for _, a, b in found]
+    return tuple(key for key, _, _ in found), tuple(flags)

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 from click.testing import CliRunner
 
-from polareig import serialize
+from polareig import cli, serialize
 from polareig.cli import main
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -96,6 +96,30 @@ def test_eigenfunction_constructions(family, size, q, construct, support):
                         "--q", q, "--construct", construct),
                     "eigenfunction_report.schema.json")
     assert payload["support_size"] == support and payload["tight"]
+
+
+@pytest.mark.parametrize("construct,family,flag,size,q,served", [
+    ("theta1-polar", "vo-", "--m", "2", "2", False),
+    ("theta1-hyperbolic", "sp", "--n", "2", "2", False),
+    ("theta1-elliptic", "vo+", "--m", "2", "2", False),
+    ("theta2-unitary", "u", "--n", "3", "4", False),
+    ("theta1-cliquepair", "vo+", "--m", "2", "2", True),
+])
+def test_constructions_reject_other_families_before_the_build(
+        construct, family, flag, size, q, served, monkeypatch):
+    built = []
+
+    def stub_build(*args, **kwargs):
+        built.append(args)
+        raise cli.ConfigError("stub build")
+
+    monkeypatch.setattr(cli, "build_graph", stub_build)
+    result = run("eigenfunction", "--family", family, flag, size, "--q", q,
+                 "--construct", construct)
+    assert result.exit_code == 2
+    assert bool(built) == served
+    assert ("stub build" in result.output) == served
+    assert (f"{construct} needs family" in result.output) != served
 
 
 def test_verify_detects_a_corrupted_function(tmp_path):

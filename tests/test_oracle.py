@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import reference_isolated_pairs
+from conftest import reference_bipartite_pairs, reference_isolated_pairs
 from polareig import cache, eigenfunctions as ef, graphs, linalg, oracle, serialize
 from polareig.cli import build_graph
 from polareig.graphs import graph_from_edges
@@ -181,3 +182,59 @@ def test_isolated_catalog_matches_reference(family, size, q, tmp_path):
         cache.write_jsonl(path, header, lines)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("family,size,q,s", [
+    ("sp", 2, 2, 2), ("sp", 2, 2, 3), ("u", 2, 4, 3), ("o+", 3, 2, 3),
+    ("vo+", 2, 2, 3), ("sp", 2, 3, 4),
+])
+def test_bipartite_catalog_matches_reference(family, size, q, s):
+    affine = family.startswith("vo")
+    g = build_graph(family, q, None if affine else size, size if affine else None)
+    catalog = enumerate_bipartite_pairs(g, s)
+    assert catalog.pairs
+    assert (catalog.pairs, catalog.outside_regular) == reference_bipartite_pairs(g, s)
+
+
+@st.composite
+def graphs_with_part_size(draw):
+    """A random graph on at most 12 vertices, often with an induced K_{s,s}
+    planted in it, and the part size s."""
+    n = draw(st.integers(1, 12))
+    s = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = {pair for pair in pairs if draw(st.booleans())}
+    if 2 * s <= n and draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        side = {v: k // s for k, v in enumerate(order[:2 * s])}
+        for i, j in pairs:
+            if i in side and j in side:
+                (edges.add if side[i] != side[j] else edges.discard)((i, j))
+    return graph_from_edges(n, sorted(edges)), s
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=graphs_with_part_size())
+def test_bipartite_catalog_matches_reference_on_random_graphs(case):
+    g, s = case
+    catalog = enumerate_bipartite_pairs(g, s)
+    assert (catalog.pairs, catalog.outside_regular) == reference_bipartite_pairs(g, s)
+
+
+def test_counter_comparison_pads_the_shorter_plane_list():
+    # counts 1, 3, 0 on vertices 0, 1, 2 against 1, 1, 0
+    three = [0b011, 0b010]
+    assert oracle._same_counts(three, [0b011], 0b101)
+    assert not oracle._same_counts(three, [0b011], 0b111)
+    assert not oracle._same_counts([0b011], three, 0b010)
+
+
+@pytest.mark.parametrize("fixture,count", [("u44", 120), ("u49", 2835)])
+def test_unitary_bipartite_count_matches_the_secant_line_pairs(fixture, count, request):
+    # an induced K_{q+1,q+1} of H(3, q^2) is the pair {l, l^perp} of secant
+    # lines, and there are q^4 (q^2 + 1)(q^2 - q + 1) secant lines
+    g = request.getfixturevalue(fixture)
+    q = g.ctx.sqrt_q
+    catalog = enumerate_bipartite_pairs(g, -graphs.spectrum(g.srg_params()).theta2)
+    assert len(catalog) == q ** 4 * (q * q + 1) * (q * q - q + 1) // 2 == count
+    assert all(catalog.outside_regular)
