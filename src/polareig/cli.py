@@ -30,6 +30,11 @@ CONSTRUCTIONS = {
     "theta1-cliquepair": dict.fromkeys(GRAPH_FAMILIES),
     "theta2-unitary": {"u": 2},
 }
+# on these families the construction needs an (m-2)-space of the hyperbolic
+# quadric or a point of the elliptic one, so --m >= 2 (theta1-cliquepair
+# takes its pair from theta1-elliptic on vo-)
+NEEDS_M2 = {("theta1-hyperbolic", "vo+"), ("theta1-elliptic", "vo-"),
+            ("theta1-cliquepair", "vo-")}
 
 
 class ConfigError(Exception):
@@ -186,6 +191,8 @@ def eigenfunction(family, q, n, m, cap, cache_dir, construct, fmt, out):
         need = " or ".join(f if r is None else f"{f} with --n {r}"
                            for f, r in served.items())
         raise SystemExit(_fail(2, f"{construct} needs family {need}"))
+    if (construct, family) in NEEDS_M2 and m is not None and m < 2:
+        raise SystemExit(_fail(2, f"{construct} needs family {family} with --m >= 2"))
     g = _build_or_exit(family, q, n, m, cap, cache_dir)
     try:
         f = _construct(g, construct)

@@ -295,55 +295,67 @@ def delsarte_bound(params: SrgParams, spec: SpectrumInfo) -> Fraction:
     return 1 + Fraction(params.k, -spec.theta2)
 
 
-def cliques_of_size(g: PolarGraph, s: int) -> list[int]:
-    """Bitsets of all s-cliques, in increasing bitset order."""
+def iter_cliques(g: PolarGraph, s: int):
+    """Bitsets of all s-cliques, in increasing vertex-tuple order ({0,5}
+    before {1,2}), generated one at a time."""
     if s < 1:
-        return []
-    if s == 1:
-        return [1 << i for i in range(g.n)]
+        return
     adj = g.adj
-    out = []
+    # depth-first over the cliques' sorted vertex tuples; rests[i] holds the
+    # vertices above the last one chosen that extend the first i chosen
+    bits = [0] * s
+    rests = [0] * s
+    rests[0] = (1 << g.n) - 1
+    depth = 0
+    while depth >= 0:
+        rest = rests[depth]
+        if depth + rest.bit_count() < s:
+            depth -= 1
+            continue
+        lsb = rest & -rest
+        rest ^= lsb
+        rests[depth] = rest
+        if depth + 1 == s:
+            yield bits[depth] | lsb
+            continue
+        nxt = rest & adj[lsb.bit_length() - 1]
+        if depth + 1 + nxt.bit_count() >= s:
+            depth += 1
+            bits[depth] = bits[depth - 1] | lsb
+            rests[depth] = nxt
 
-    def grow(bits: int, size: int, cand: int, low: int):
-        if size == s:
-            out.append(bits)
-            return
-        # candidates above `low` keep the search canonical and duplicate-free
-        rest = cand >> low << low
-        while rest:
-            lsb = rest & -rest
-            v = lsb.bit_length() - 1
-            rest ^= lsb
-            if size + 1 + (cand & adj[v] >> (v + 1) << (v + 1)).bit_count() >= s:
-                grow(bits | lsb, size + 1, cand & adj[v], v + 1)
 
-    grow(0, 0, (1 << g.n) - 1, 0)
-    return out
+def cliques_of_size(g: PolarGraph, s: int) -> list[int]:
+    """Bitsets of all s-cliques, in increasing vertex-tuple order."""
+    return list(iter_cliques(g, s))
 
 
-def delsarte_cliques(g: PolarGraph, params: SrgParams | None = None,
-                     spec: SpectrumInfo | None = None) -> list[CliqueInfo]:
-    """All cliques meeting the Delsarte-Hoffman bound 1 + k/(-theta2).
-
-    Each is checked to be regular with nexus mu/(-theta2).  Empty when the
-    bound is not an integer (then no clique can meet it).
-    """
+def _sized_cliques(g: PolarGraph, params: SrgParams | None = None,
+                   spec: SpectrumInfo | None = None):
+    """CliqueInfo of every clique of the Delsarte-Hoffman size, in
+    increasing vertex-tuple order; none when the bound is not an integer."""
     params = params or g.srg_params()
     spec = spec or spectrum(params)
     bound = delsarte_bound(params, spec)
     if bound.denominator != 1:
-        return []
-    s = int(bound)
+        return
     nexus = Fraction(params.mu, -spec.theta2)
     count = int(nexus) if nexus.denominator == 1 else None
-    out = []
-    for bits in cliques_of_size(g, s):
+    for bits in iter_cliques(g, int(bound)):
         ok = count is not None and all(
             (g.adj[u] & bits).bit_count() == count
             for u in range(g.n) if not bits >> u & 1)
-        out.append(CliqueInfo(bit_indices(bits), ok, count if ok else None))
-    out.sort(key=lambda c: c.vertices)
-    return out
+        yield CliqueInfo(bit_indices(bits), ok, count if ok else None)
+
+
+def delsarte_cliques(g: PolarGraph, params: SrgParams | None = None,
+                     spec: SpectrumInfo | None = None) -> list[CliqueInfo]:
+    """All cliques meeting the Delsarte-Hoffman bound 1 + k/(-theta2), sorted.
+
+    Each is checked to be regular with nexus mu/(-theta2).  Empty when the
+    bound is not an integer (then no clique can meet it).
+    """
+    return list(_sized_cliques(g, params, spec))
 
 
 def max_intersecting_delsarte_pair(g: PolarGraph) -> tuple[CliqueInfo, CliqueInfo]:
@@ -351,23 +363,34 @@ def max_intersecting_delsarte_pair(g: PolarGraph) -> tuple[CliqueInfo, CliqueInf
 
     Ties break toward the canonically least pair of vertex tuples.
     """
-    cliques = [c for c in delsarte_cliques(g) if c.is_delsarte]
-    if len(cliques) < 2:
-        raise FewerThanTwoCliques(f"found {len(cliques)} Delsarte cliques")
+    found = []  # (bits, clique) of the Delsarte cliques streamed so far
+
+    def pairs():
+        # The pairs of the full scan in its order: those with clique 0 as the
+        # cliques stream in, the rest only once the stream has run out.
+        for c in _sized_cliques(g):
+            if c.is_delsarte:
+                entry = (c.bits(), c)
+                if found:
+                    yield found[0], entry
+                found.append(entry)
+        for i in range(1, len(found)):
+            for j in range(i + 1, len(found)):
+                yield found[i], found[j]
+
     # No pair meets in more than the nexus (a vertex of D outside C sees all
     # of C ∩ D and exactly nexus vertices of C), so the first to reach it wins.
-    bits = [c.bits() for c in cliques]
     best = None
     best_size = -1
-    for i in range(len(cliques)):
-        bi = bits[i]
-        for j in range(i + 1, len(cliques)):
-            inter = (bi & bits[j]).bit_count()
-            if inter > best_size:
-                best_size = inter
-                best = (cliques[i], cliques[j])
-                if inter == cliques[0].nexus:
-                    return best
+    for (bits_a, a), (bits_b, b) in pairs():
+        inter = (bits_a & bits_b).bit_count()
+        if inter > best_size:
+            best_size = inter
+            best = (a, b)
+            if inter == a.nexus:
+                break
+    if best is None:
+        raise FewerThanTwoCliques(f"found {len(found)} Delsarte cliques")
     return best
 
 

@@ -14,6 +14,12 @@ S, so all of them are struck from S's candidates: each extension of S is
 reduced once, and the points of each distinct span are listed once.
 Field elements appear only in the public ``basis`` of a subspace.
 
+The rank n is the Witt index of the form (``witt_index``), so building a
+graph enumerates no subspace level.  Every freshly enumerated level is
+checked to hold exactly N_k = ``singular_subspace_count`` members, and
+``descriptor()`` checks the rank against enumeration: level n-1 must be
+non-empty and level n empty.
+
 All output lists are sorted by the canonical subspace key, making every
 downstream computation reproducible.
 """
@@ -52,6 +58,10 @@ class NotPairwiseCollinear(PolarSpaceError):
 
 
 class OrderNotWellDefined(PolarSpaceError):
+    pass
+
+
+class LevelCountMismatch(PolarSpaceError):
     pass
 
 
@@ -113,10 +123,16 @@ def _expected_e(family: str, dim: int) -> Fraction:
     return Fraction(1, 2) if dim % 2 == 0 else Fraction(3, 2)
 
 
+def witt_index(family: str, dim: int) -> int:
+    """The rank n of the standard form: maximal totally singular subspaces
+    have vector dimension n."""
+    return (dim - {"o": 1, "o-": 2}.get(family, 0)) // 2
+
+
 def singular_subspace_count(family: str, dim: int, q: int, k: int) -> int:
     """N_k = [n k]_q * prod_{i=n-k+1..n} (q^(i+e-1) + 1), the number of totally
     singular k-spaces at rank n; q is a square when e is half-integral."""
-    n = (dim - {"o": 1, "o-": 2}.get(family, 0)) // 2
+    n = witt_index(family, dim)
     if k > n:
         return 0
     two_e = int(2 * _expected_e(family, dim))
@@ -142,7 +158,6 @@ class PolarSpace:
         self._point_lookup: dict[tuple[int, ...], int] = {}
         self._collinearity: list[int] | None = None
         self._levels: dict[int, list[SingularSubspace]] = {}
-        self._rank: int | None = None
 
     # -- points ---------------------------------------------------------------
 
@@ -310,10 +325,12 @@ class PolarSpace:
             level.sort(key=lambda s: s.key)
         else:
             level = self._extend_level(prev)
+        expected = singular_subspace_count(self.family, self.dim, self.ctx.q, d + 1)
+        if len(level) != expected:
+            raise LevelCountMismatch(
+                f"level {d} holds {len(level)} subspaces, but N_{d + 1} = {expected}")
         self._levels[d] = level
         self._level_cache_io(d, level)
-        if self._rank is None and not level:
-            self._rank = d
         return level
 
     def _extend_level(self, prev: list[SingularSubspace]) -> list[SingularSubspace]:
@@ -340,15 +357,9 @@ class PolarSpace:
         return [self._subspace(k, seen[k]) for k in sorted(seen)]
 
     def rank(self) -> int:
-        """Rank n: maximal singular subspaces have projective dimension n-1."""
-        if self._rank is None:
-            d = 0
-            while True:
-                if not self.subspaces(d):
-                    self._rank = d
-                    break
-                d += 1
-        return self._rank
+        """Rank n, the Witt index: maximal singular subspaces have projective
+        dimension n-1."""
+        return witt_index(self.family, self.dim)
 
     def maximals(self) -> list[SingularSubspace]:
         return self.subspaces(self.rank() - 1)
@@ -358,6 +369,9 @@ class PolarSpace:
     def descriptor(self) -> PolarSpaceDescriptor:
         n = self.rank()
         ctx = self.ctx
+        if (n >= 1 and not self.subspaces(n - 1)) or self.subspaces(n):
+            raise OrderNotWellDefined(
+                f"the enumerated levels do not end at the Witt index {n}")
         if n < 1:
             raise OrderNotWellDefined("space has no points")
         if n == 1:

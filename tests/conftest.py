@@ -165,6 +165,15 @@ def _reference_independent_sets(comp_adj, pool_bits, s):
     return out
 
 
+def reference_cliques(g, s):
+    """Bitsets of the s-cliques, grown without the size prune, as
+    graphs.cliques_of_size grew them before it was a generator; kept as the
+    reference for its contents."""
+    if s < 1:
+        return []
+    return _reference_independent_sets(g.adj, (1 << g.n) - 1, s)
+
+
 def reference_bipartite_pairs(g, s):
     """Induced K_{s,s} pairs and their outside-regularity flags, as the oracle
     found them before its pruned search: every independent s-set is listed as

@@ -104,6 +104,9 @@ def test_eigenfunction_constructions(family, size, q, construct, support):
     ("theta1-elliptic", "vo+", "--m", "2", "2", False),
     ("theta2-unitary", "u", "--n", "3", "4", False),
     ("theta1-cliquepair", "vo+", "--m", "2", "2", True),
+    ("theta1-hyperbolic", "vo+", "--m", "1", "2", False),
+    ("theta1-cliquepair", "vo-", "--m", "1", "2", False),
+    ("theta1-cliquepair", "vo+", "--m", "1", "3", True),
 ])
 def test_constructions_reject_other_families_before_the_build(
         construct, family, flag, size, q, served, monkeypatch):
@@ -207,7 +210,12 @@ def test_graph_json_export_validates(tmp_path):
 
 def test_cache_env_var_is_honoured(tmp_path, monkeypatch):
     monkeypatch.setenv("POLAR_EIG_CACHE", str(tmp_path))
+    # the graph needs no subspace level, so a build caches none
     result = run("build", "--family", "sp", "--n", "2", "--q", "3")
+    assert result.exit_code == 0
+    assert not any("subspaces_sp" in p.name for p in tmp_path.iterdir())
+    result = run("eigenfunction", "--family", "sp", "--n", "2", "--q", "3",
+                 "--construct", "theta1-polar")
     assert result.exit_code == 0
     names = [p.name for p in tmp_path.iterdir()]
     assert any("subspaces_sp" in n for n in names)
@@ -266,6 +274,12 @@ def _file_with(name, text):
     (("verify", "--graph", "sp:2:2", "--function",
       _file_with("far.json", '{"theta":1,"entries":[[99,1,1]]}')), 4),
     (("verify", "--graph", "sp:2:2", "--function", lambda t: str(t / "none.json")), 6),
+    (("eigenfunction", "--family", "vo+", "--m", "1", "--q", "2",
+      "--construct", "theta1-hyperbolic"), 2),
+    (("eigenfunction", "--family", "vo-", "--m", "1", "--q", "2",
+      "--construct", "theta1-elliptic"), 2),
+    (("eigenfunction", "--family", "vo-", "--m", "1", "--q", "2",
+      "--construct", "theta1-cliquepair"), 2),
 ])
 def test_cli_input_errors_exit_with_documented_codes(args, code, tmp_path):
     (tmp_path / "file").write_text("not a directory")

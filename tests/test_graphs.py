@@ -2,16 +2,17 @@ import itertools
 
 import pytest
 
-from conftest import make_collinearity, pentagon
-from polareig import forms, linalg
+from conftest import make_collinearity, pentagon, reference_cliques
+from polareig import forms, graphs, linalg
 from polareig.gf import field_new
 from polareig.graphs import (
-    FewerThanTwoCliques, Imprimitive, IrrationalEigenvalues, NotRegular,
-    NotStronglyRegular, RankTooLow, SrgParams,
-    affine_polar_graph, charpoly_root_check, delsarte_cliques,
+    CliqueInfo, FewerThanTwoCliques, Imprimitive, IrrationalEigenvalues,
+    NotRegular, NotStronglyRegular, RankTooLow, SrgParams,
+    affine_polar_graph, charpoly_root_check, cliques_of_size, delsarte_cliques,
     graph_from_edges, max_intersecting_delsarte_pair, maximal_cliques,
     spectrum, srg_check,
 )
+from polareig.polarspace import bit_indices
 
 
 def test_srg_examples(sp42, rook_o42, u44):
@@ -116,15 +117,79 @@ def test_delsarte_cliques_affine_and_unitary(vo_plus_2, vo_minus_2, u44):
     assert len(uu) == 27 and all(len(c) == 5 and c.nexus == 1 for c in uu)
 
 
-def test_max_intersecting_pair_examples(sp42, rook_o42, vo_plus_2, u44, sp43):
+@pytest.mark.parametrize("fixture", [
+    "sp42", "sp43", "rook_o43", "gq_o62", "u44", "vo_plus_2", "vo_minus_3",
+])
+def test_cliques_of_size_lists_every_clique_in_vertex_tuple_order(fixture, request):
+    g = request.getfixturevalue(fixture)
+    for s in range(6):
+        got = cliques_of_size(g, s)
+        assert isinstance(got, list)
+        tuples = [bit_indices(c) for c in got]
+        assert tuples == sorted(tuples)
+        assert tuples == sorted(bit_indices(c) for c in reference_cliques(g, s))
+
+
+def test_max_intersecting_pair_examples(sp42, rook_o42, vo_plus_2, u44, sp43,
+                                        rook_o43, gq_o62, vo_plus_3):
     for g, expected in ((sp42, 1), (rook_o42, 1), (vo_plus_2, 2), (u44, 1),
-                        (sp43, 1)):
+                        (sp43, 1), (rook_o43, 1), (gq_o62, 1), (vo_plus_3, 3)):
         c0, c1 = max_intersecting_delsarte_pair(g)
         assert (c0.bits() & c1.bits()).bit_count() == expected
         # the first pair of the full scan with the largest intersection
         cliques = [c for c in delsarte_cliques(g) if c.is_delsarte]
         assert (c0, c1) == max(itertools.combinations(cliques, 2),
                                key=lambda p: (p[0].bits() & p[1].bits()).bit_count())
+
+
+def _stub_stream(monkeypatch, vertex_tuples, nexus=1):
+    """Make the clique stream yield these cliques; a tuple ending in None is
+    not Delsarte.  Returns the Delsarte ones."""
+    cliques = [CliqueInfo(t[:-1], False, None) if t[-1] is None
+               else CliqueInfo(t, True, nexus) for t in vertex_tuples]
+    monkeypatch.setattr(graphs, "_sized_cliques", lambda g: iter(cliques))
+    return [c for c in cliques if c.is_delsarte]
+
+
+def _full_scan(cliques):
+    return max(itertools.combinations(cliques, 2),
+               key=lambda p: (p[0].bits() & p[1].bits()).bit_count())
+
+
+def test_max_pair_falls_back_past_clique_zero(monkeypatch):
+    # clique 0 meets no other clique, so the pair comes from row 1
+    cliques = _stub_stream(monkeypatch, [(0, 1, 2), (3, 4, 5), (4, 6, None),
+                                         (3, 6, 7), (8, 9, 10)])
+    pair = max_intersecting_delsarte_pair(pentagon())
+    assert pair == _full_scan(cliques)
+    assert [c.vertices for c in pair] == [(3, 4, 5), (3, 6, 7)]
+
+
+def test_max_pair_falls_back_to_the_best_below_the_nexus(monkeypatch):
+    # no pair reaches the nexus 2: the first pair of the largest meet wins
+    cliques = _stub_stream(monkeypatch, [(0, 1, 2), (2, 3, 4), (5, 6, 7),
+                                         (5, 8, 9)], nexus=2)
+    pair = max_intersecting_delsarte_pair(pentagon())
+    assert pair == _full_scan(cliques)
+    assert [c.vertices for c in pair] == [(0, 1, 2), (2, 3, 4)]
+
+
+def test_max_pair_stops_at_the_first_nexus_meet_with_clique_zero(monkeypatch):
+    class Unread(CliqueInfo):
+        def bits(self):
+            raise AssertionError("a clique after the pair was read")
+
+    cliques = [CliqueInfo((0, 1, 2), True, 1), CliqueInfo((3, 4, 5), True, 1),
+               CliqueInfo((2, 6, 7), True, 1), Unread((0, 8, 9), True, 1)]
+    monkeypatch.setattr(graphs, "_sized_cliques", lambda g: iter(cliques))
+    assert max_intersecting_delsarte_pair(pentagon()) == (cliques[0], cliques[2])
+
+
+@pytest.mark.parametrize("found", [0, 1])
+def test_max_pair_needs_two_delsarte_cliques(found, monkeypatch):
+    _stub_stream(monkeypatch, [(0, 1, None), (0, 1, 2)][:found + 1])
+    with pytest.raises(FewerThanTwoCliques, match=f"found {found} "):
+        max_intersecting_delsarte_pair(pentagon())
 
 
 def test_rook_same_regulus_lines_are_disjoint(rook_o42):

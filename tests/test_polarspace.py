@@ -10,7 +10,8 @@ from conftest import make_space, reference_rref
 from polareig import forms, linalg, polarspace
 from polareig.gf import field_new
 from polareig.polarspace import (
-    DimensionOutOfRange, NotPairwiseCollinear, NotSingular, WrongDimension,
+    DimensionOutOfRange, LevelCountMismatch, NotPairwiseCollinear, NotSingular,
+    OrderNotWellDefined, WrongDimension,
 )
 
 
@@ -71,6 +72,49 @@ def test_rank1_elliptic_has_no_lines():
     assert len(space.subspaces(0)) == 5
     assert space.subspaces(1) == []
     assert space.rank() == 1
+
+
+@pytest.mark.parametrize("family,dim,p,k", [
+    # the spaces of the level regression below
+    ("sp", 4, 3, 1), ("o", 5, 3, 1), ("o+", 6, 2, 1), ("o-", 6, 2, 1), ("u", 4, 2, 2),
+    # rank 1, and the anisotropic plane of rank 0
+    ("o-", 4, 2, 1), ("o-", 4, 3, 1), ("sp", 2, 3, 1), ("u", 2, 2, 2),
+    ("u", 3, 2, 2), ("o", 3, 3, 1), ("o+", 2, 3, 1), ("o-", 2, 2, 1),
+])
+def test_witt_index_is_the_first_empty_level(family, dim, p, k):
+    space = polarspace.PolarSpace(forms.standard_form(family, dim, field_new(p, k)))
+    n = space.rank()
+    assert n == polarspace.witt_index(family, dim)
+    assert all(space.subspaces(d) for d in range(n))
+    assert space.subspaces(n) == []
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_descriptor_checks_the_rank_against_enumeration(shift, monkeypatch):
+    space = polarspace.PolarSpace(forms.standard_form("sp", 4, field_new(2, 1)))
+    monkeypatch.setattr(polarspace.PolarSpace, "rank", lambda self: 2 + shift)
+    with pytest.raises(OrderNotWellDefined):
+        space.descriptor()
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_a_level_of_the_wrong_size_is_rejected(level, monkeypatch):
+    space = polarspace.PolarSpace(forms.standard_form("sp", 4, field_new(3, 1)))
+    count = polarspace.singular_subspace_count
+    monkeypatch.setattr(polarspace, "singular_subspace_count",
+                        lambda f, dim, q, k: count(f, dim, q, k) + (k == level + 1))
+    with pytest.raises(LevelCountMismatch):
+        space.subspaces(1)
+
+
+def test_an_enumeration_that_loses_a_subspace_is_rejected(monkeypatch):
+    extend = polarspace.PolarSpace._extend_level
+    monkeypatch.setattr(polarspace.PolarSpace, "_extend_level",
+                        lambda self, prev: extend(self, prev)[:-1])
+    space = polarspace.PolarSpace(forms.standard_form("o+", 6, field_new(2, 1)))
+    assert len(space.subspaces(0)) == 35
+    with pytest.raises(LevelCountMismatch):
+        space.subspaces(1)
 
 
 def test_dimension_out_of_range():
