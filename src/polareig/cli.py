@@ -165,11 +165,7 @@ def main():
 def build(family, q, n, m, cap, cache_dir, fmt, out):
     """Build a graph, verify strong regularity, print the parameter summary."""
     g = _build_or_exit(family, q, n, m, cap, cache_dir)
-    try:
-        summary = build_summary(g)
-    except graphs.GraphError as exc:
-        raise SystemExit(_fail(2, f"not a primitive strongly regular graph: {exc}"))
-    _echo_json(summary)
+    _echo_json(build_summary(g))
     if fmt:
         text = serialize.GRAPH_FORMATS[fmt](g)
         if out:
@@ -326,14 +322,21 @@ def verify(graph_spec, function_path, theta, cap, cache_dir):
 
 
 def _build_or_exit(family, q, n, m, cap, cache_dir) -> graphs.PolarGraph:
+    """The requested graph, checked to be primitive strongly regular; every
+    command reads its parameters, so the check costs nothing extra."""
     try:
-        return build_graph(family, q, n, m, cap=cap, cache_dir=cache_dir)
+        g = build_graph(family, q, n, m, cap=cap, cache_dir=cache_dir)
     except ConfigError as exc:
         raise SystemExit(_fail(2, str(exc)))
     except CapError as exc:
         raise SystemExit(_fail(3, str(exc)))
     except OSError as exc:
         raise SystemExit(_fail(6, f"cache I/O error: {exc}"))
+    try:
+        graphs.spectrum(g.srg_params())
+    except graphs.GraphError as exc:
+        raise SystemExit(_fail(2, f"not a primitive strongly regular graph: {exc}"))
+    return g
 
 
 def _write_or_exit(path, text):

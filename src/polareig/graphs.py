@@ -295,17 +295,21 @@ def delsarte_bound(params: SrgParams, spec: SpectrumInfo) -> Fraction:
     return 1 + Fraction(params.k, -spec.theta2)
 
 
-def iter_cliques(g: PolarGraph, s: int):
-    """Bitsets of all s-cliques, in increasing vertex-tuple order ({0,5}
-    before {1,2}), generated one at a time."""
+def cliques_within(adj: list[int], pool: int, s: int):
+    """Bitsets of all s-cliques inside the vertex bitset pool, generated one
+    at a time in increasing vertex-tuple order ({0,5} before {1,2}).
+
+    adj[v] is the neighbour bitset of v; only its bits above v are read, and
+    it may reach outside pool, since each clique's vertices are drawn from
+    pool alone.  Nothing is generated when s < 1.
+    """
     if s < 1:
         return
-    adj = g.adj
     # depth-first over the cliques' sorted vertex tuples; rests[i] holds the
     # vertices above the last one chosen that extend the first i chosen
     bits = [0] * s
     rests = [0] * s
-    rests[0] = (1 << g.n) - 1
+    rests[0] = pool
     depth = 0
     while depth >= 0:
         rest = rests[depth]
@@ -327,7 +331,7 @@ def iter_cliques(g: PolarGraph, s: int):
 
 def cliques_of_size(g: PolarGraph, s: int) -> list[int]:
     """Bitsets of all s-cliques, in increasing vertex-tuple order."""
-    return list(iter_cliques(g, s))
+    return list(cliques_within(g.adj, (1 << g.n) - 1, s))
 
 
 def _sized_cliques(g: PolarGraph, params: SrgParams | None = None,
@@ -341,7 +345,7 @@ def _sized_cliques(g: PolarGraph, params: SrgParams | None = None,
         return
     nexus = Fraction(params.mu, -spec.theta2)
     count = int(nexus) if nexus.denominator == 1 else None
-    for bits in iter_cliques(g, int(bound)):
+    for bits in cliques_within(g.adj, (1 << g.n) - 1, int(bound)):
         ok = count is not None and all(
             (g.adj[u] & bits).bit_count() == count
             for u in range(g.n) if not bits >> u & 1)

@@ -3,15 +3,17 @@
 Everything here is exhaustive enumeration at desk scale: catalogues of
 isolated clique pairs and induced complete bipartite pairs, witness
 decompositions for every catalogued pair, and cross-checks of the closed
-counting formulas against the enumerated counts.  The scans run in one
-process; the isolated scan finds a clique's partners through a
-vertex-to-clique index.  The bipartite search grows each first part from
-its least vertex and carries the part's common neighbourhood above that
-vertex, where the whole partner lies; the neighbourhood only shrinks as
-the part grows, so a branch is pruned once it holds fewer than s
-vertices.  Outside-regularity compares bit-sliced neighbour counts of the
-two parts.  Where a printed formula and the enumeration disagree, the
-enumeration is authoritative and the disagreement is reported as data.
+counting formulas against the enumerated counts.  Both pair scans grow a
+part's partners inside the set where they may lie, with
+`graphs.cliques_within`.  An isolated clique's partners are cliques off the
+clique and its neighbourhood, above its least vertex.  The bipartite search
+grows each first part from its least vertex and carries the part's common
+neighbourhood above that vertex; the partners are the independent s-sets
+there (cliques of the complement).  The neighbourhood only shrinks as the
+part grows, so a branch is pruned once it holds fewer than s vertices.
+Outside-regularity compares bit-sliced neighbour counts of the two parts.
+Where a printed formula and the enumeration disagree, the enumeration is
+authoritative and the disagreement is reported as data.
 """
 
 from __future__ import annotations
@@ -99,61 +101,30 @@ class CountComparison:
         }
 
 
-def _pair_key(b0: int, b1: int) -> tuple:
-    t0 = bit_indices(b0)
-    t1 = bit_indices(b1)
-    return (t0, t1) if t0 <= t1 else (t1, t0)
-
-
 # -- isolated clique pairs -----------------------------------------------------
 
 def enumerate_isolated_clique_pairs(g: PolarGraph, s: int) -> PairCatalog:
     """Every unordered pair of s-cliques with no vertices or edges in common."""
     if s < 1:
         raise OracleError("s must be >= 1")
-    cliques = graphs.cliques_of_size(g, s)
-    # containing[v]: bitset over clique indices of the cliques through v
-    containing = [0] * g.n
-    for i, bits in enumerate(cliques):
-        for v in bit_indices(bits):
-            containing[v] |= 1 << i
-    everything = (1 << len(cliques)) - 1
+    full = (1 << g.n) - 1
     pairs = []
-    for i, ci in enumerate(cliques):
+    for ci in graphs.cliques_of_size(g, s):
         forbidden = ci
         for v in bit_indices(ci):
             forbidden |= g.adj[v]
-        # a clique meeting the clique or its neighbourhood is not a partner
-        blocked = 0
-        for v in bit_indices(forbidden):
-            blocked |= containing[v]
-        later = (everything ^ blocked) >> (i + 1) << (i + 1)
-        pairs.extend(_pair_key(ci, cliques[j]) for j in bit_indices(later))
+        # partners lie off the clique and its neighbourhood, and above its
+        # least vertex so that each pair is found once, as (t0, t1) with t0 < t1
+        low = (ci & -ci).bit_length()
+        allowed = (full >> low << low) & ~forbidden
+        t0 = bit_indices(ci)
+        pairs.extend((t0, bit_indices(cj))
+                     for cj in graphs.cliques_within(g.adj, allowed, s))
     pairs.sort()
     return PairCatalog("isolated_cliques", s, tuple(pairs), None)
 
 
 # -- induced complete bipartite pairs --------------------------------------------
-
-def _independent_sets_within(comp_adj, pool_bits: int, s: int) -> list[int]:
-    out = []
-
-    def grow(bits, size, cand, low):
-        if size == s:
-            out.append(bits)
-            return
-        rest = cand >> low << low
-        if rest.bit_count() < s - size:
-            return
-        while rest:
-            lsb = rest & -rest
-            v = lsb.bit_length() - 1
-            rest ^= lsb
-            grow(bits | lsb, size + 1, cand & comp_adj[v], v + 1)
-
-    grow(0, 0, pool_bits, 0)
-    return out
-
 
 def _counter_planes(adj, part: int) -> list[int]:
     """Bit-sliced neighbour counts: bit u of plane i is bit i of |N(u) ∩ part|."""
@@ -195,7 +166,7 @@ def enumerate_bipartite_pairs(g: PolarGraph, s: int) -> PairCatalog:
         if size == s:
             members = bit_indices(a)  # the key's first part: a's lead is below all of b
             planes_a = _counter_planes(adj, a)
-            for b in _independent_sets_within(comp_adj, cn, s):
+            for b in graphs.cliques_within(comp_adj, cn, s):
                 regular = _same_counts(planes_a, _counter_planes(adj, b), full ^ a ^ b)
                 found.append(((members, bit_indices(b)), regular))
             return

@@ -280,6 +280,14 @@ def _file_with(name, text):
       "--construct", "theta1-elliptic"), 2),
     (("eigenfunction", "--family", "vo-", "--m", "1", "--q", "2",
       "--construct", "theta1-cliquepair"), 2),
+    (("enumerate", "--family", "vo+", "--m", "1", "--q", "2"), 2),
+    (("enumerate", "--family", "vo-", "--m", "1", "--q", "2"), 2),
+    (("count-check", "--family", "vo+", "--m", "1", "--q", "2"), 2),
+    (("count-check", "--family", "vo-", "--m", "1", "--q", "2"), 2),
+    (("eigenfunction", "--family", "vo+", "--m", "1", "--q", "2",
+      "--construct", "theta1-cliquepair"), 2),
+    (("verify", "--graph", "vo+:1:2",
+      "--function", _file_with("bare.json", '{"theta":1,"entries":[[0,1,1]]}')), 2),
 ])
 def test_cli_input_errors_exit_with_documented_codes(args, code, tmp_path):
     (tmp_path / "file").write_text("not a directory")

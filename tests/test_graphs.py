@@ -2,7 +2,11 @@ import itertools
 
 import pytest
 
-from conftest import make_collinearity, pentagon, reference_cliques
+from hypothesis import given, settings, strategies as st
+
+from conftest import (
+    _reference_independent_sets, make_collinearity, pentagon, reference_cliques,
+)
 from polareig import forms, graphs, linalg
 from polareig.gf import field_new
 from polareig.graphs import (
@@ -128,6 +132,27 @@ def test_cliques_of_size_lists_every_clique_in_vertex_tuple_order(fixture, reque
         tuples = [bit_indices(c) for c in got]
         assert tuples == sorted(tuples)
         assert tuples == sorted(bit_indices(c) for c in reference_cliques(g, s))
+
+
+@st.composite
+def graphs_with_pool(draw):
+    """A random graph on at most 12 vertices, a vertex bitset and a size."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [pair for pair in pairs if draw(st.booleans())]
+    return (graph_from_edges(n, edges), draw(st.integers(0, (1 << n) - 1)),
+            draw(st.integers(0, 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=graphs_with_pool())
+def test_cliques_within_lists_the_cliques_inside_the_pool(case):
+    g, pool, s = case
+    got = list(graphs.cliques_within(g.adj, pool, s))
+    tuples = [bit_indices(c) for c in got]
+    assert tuples == sorted(tuples)
+    # as in reference_cliques, no clique is listed for s < 1
+    assert got == (_reference_independent_sets(g.adj, pool, s) if s else [])
 
 
 def test_max_intersecting_pair_examples(sp42, rook_o42, vo_plus_2, u44, sp43,

@@ -197,9 +197,11 @@ def test_bipartite_catalog_matches_reference(family, size, q, s):
 
 
 @st.composite
-def graphs_with_part_size(draw):
-    """A random graph on at most 12 vertices, often with an induced K_{s,s}
-    planted in it, and the part size s."""
+def graphs_with_part_size(draw, joined):
+    """A random graph on at most 12 vertices, in half the draws that have
+    room with two s-sets planted in it, and the part size s.  The planted
+    pair is an induced K_{s,s} when joined, and an isolated pair of s-cliques
+    otherwise."""
     n = draw(st.integers(1, 12))
     s = draw(st.integers(1, 4))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -209,16 +211,24 @@ def graphs_with_part_size(draw):
         side = {v: k // s for k, v in enumerate(order[:2 * s])}
         for i, j in pairs:
             if i in side and j in side:
-                (edges.add if side[i] != side[j] else edges.discard)((i, j))
+                crossing = side[i] != side[j]
+                (edges.add if crossing == joined else edges.discard)((i, j))
     return graph_from_edges(n, sorted(edges)), s
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=graphs_with_part_size())
+@given(case=graphs_with_part_size(joined=True))
 def test_bipartite_catalog_matches_reference_on_random_graphs(case):
     g, s = case
     catalog = enumerate_bipartite_pairs(g, s)
     assert (catalog.pairs, catalog.outside_regular) == reference_bipartite_pairs(g, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=graphs_with_part_size(joined=False))
+def test_isolated_catalog_matches_reference_on_random_graphs(case):
+    g, s = case
+    assert list(enumerate_isolated_clique_pairs(g, s).pairs) == reference_isolated_pairs(g, s)
 
 
 def test_counter_comparison_pads_the_shorter_plane_list():
