@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import suppress
 from pathlib import Path
 
 
@@ -43,12 +44,19 @@ def catalog_cache_name(family: str, dim: int, p: int, k: int, kind: str, s: int)
 
 
 def write_jsonl(path: Path, header: dict, lines: list) -> None:
+    """Write through a temporary file that replaces path; on failure the
+    temporary file is removed and the error re-raised."""
     tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(header) + "\n")
-        for entry in lines:
-            fh.write(dumps_canonical(entry) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(dumps_canonical(header) + "\n")
+            for entry in lines:
+                fh.write(dumps_canonical(entry) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def read_jsonl(path: Path, expect_header: dict) -> list | None:

@@ -77,9 +77,10 @@ def build_graph(family: str, q: int, n: int | None, m: int | None,
         form = forms.standard_form(family, dim, ctx)
     except (forms.FormError, gf.OddExtensionDegree) as exc:
         raise ConfigError(str(exc)) from exc
+    points = polarspace.singular_subspace_count(family, dim, q, 1)
+    if points > cap:  # checked in closed form, before any point is listed
+        raise CapError(f"{points} points exceed the vertex cap {cap}")
     space = polarspace.polar_space(form, cache_dir=cache_dir)
-    if space.point_count() > cap:
-        raise CapError(f"{space.point_count()} points exceed the vertex cap {cap}")
     try:
         if family == "u" and dim == 4:
             return graphs.unitary_graph(ctx, cache_dir=cache_dir)
@@ -195,6 +196,8 @@ def eigenfunction(family, q, n, m, cap, cache_dir, construct, fmt, out):
         report = ef.verify_eigenfunction(g, f)
     except (ef.EigenfunctionError, graphs.GraphError) as exc:
         raise SystemExit(_fail(4, f"construction failed verification: {exc}"))
+    except OSError as exc:  # a subspace level that cannot be cached
+        raise SystemExit(_fail(6, f"cache I/O error: {exc}"))
     text = (serialize.eigenfunction_json(f) if fmt == "json"
             else serialize.eigenfunction_csv(f))
     if out:
@@ -274,6 +277,8 @@ def count_check(family, q, n, m, cap, cache_dir):
         comparison = oracle.count_comparison(g)
     except oracle.OracleError as exc:
         raise SystemExit(_fail(2, str(exc)))
+    except OSError as exc:  # a subspace level that cannot be cached
+        raise SystemExit(_fail(6, f"cache I/O error: {exc}"))
     _echo_json(comparison.to_json())
     ok = comparison.printed_matches and comparison.derived_matches
     raise SystemExit(0 if ok else 5)

@@ -216,7 +216,7 @@ def _vec_lift(space, point_bits: int, scalars) -> list[tuple[int, ...]]:
     mul = space.ctx.mul_i
     out = []
     for pi in bit_indices(point_bits):
-        rep = linalg.vec_key(pts[pi].rep)
+        rep = pts[pi].key()
         for a in scalars:
             out.append(tuple(mul(a, c) for c in rep))
     return out
@@ -264,18 +264,13 @@ def theta1_hyperbolic(g: PolarGraph, v=None, L: SingularSubspace | None = None,
     return Eigenfunction(values, theta, dict(g.provenance))
 
 
-def _aff_keys(space, S: SingularSubspace) -> list[tuple[int, ...]]:
-    """Index tuples of every vector in the span of S (including zero)."""
-    return [linalg.vec_key(w)
-            for w in linalg.span_vectors(S.basis, space.ctx, space.dim)]
-
-
-def least_perp_translation(g: PolarGraph, M: SingularSubspace):
-    """The canonically least vector in Aff(M)-perp outside Aff(M)."""
+def least_perp_translation(g: PolarGraph, M: SingularSubspace) -> tuple[int, ...]:
+    """The canonically least vector in Aff(M)-perp outside Aff(M), as a
+    tuple of element indices."""
     space = g.space
-    perp_basis = forms.perp(space.form, M.basis)
-    for w in linalg.span_vectors(perp_basis, space.ctx, space.dim):
-        if not linalg.vec_is_zero(w) and not linalg.in_span(M.basis, w):
+    rows = M.rows()
+    for w in linalg.span_i(space.ctx, forms.perp_i(space.form, rows), space.dim):
+        if not linalg.in_span_i(space.ctx, rows, w):
             return w
     raise TNotInPerp("perp of Aff(M) equals Aff(M)")
 
@@ -295,19 +290,19 @@ def theta1_elliptic(g: PolarGraph, v=None, M: SingularSubspace | None = None,
     if t is None:
         t = least_perp_translation(g, M)
     t_key = _as_key(ctx, t, 2 * m)
-    t_elems = tuple(ctx.element(c) for c in t_key)
-    perp_basis = forms.perp(space.form, M.basis)
-    if not linalg.in_span(perp_basis, t_elems):
+    rows = M.rows()
+    if not linalg.in_span_i(ctx, forms.perp_i(space.form, rows), t_key):
         raise TNotInPerp("t is not orthogonal to Aff(M)")
-    if linalg.in_span(M.basis, t_elems):
+    if linalg.in_span_i(ctx, rows, t_key):
         raise TInAffM("t lies inside Aff(M)")
     v_key = _as_key(ctx, v, 2 * m)
+    aff = linalg.span_i(ctx, rows, space.dim)
     one = Fraction(1)
     values: dict[int, Fraction] = {}
-    for w in _aff_keys(space, M):
+    for w in aff:
         values[g.vec_index[_shift_key(ctx, v_key, w)]] = one
     base = _shift_key(ctx, v_key, t_key)
-    for w in _aff_keys(space, M):
+    for w in aff:
         values[g.vec_index[_shift_key(ctx, base, w)]] = -one
     theta = ctx.q ** (m - 1) - 1
     return Eigenfunction(values, theta, dict(g.provenance))

@@ -5,12 +5,14 @@ Quadratic forms are stored as upper-triangular coefficient matrices
 uniform: the polarisation B(x, y) = Q(x+y) - Q(x) - Q(y) is always the
 bilinear form with matrix C + C^T.  Symplectic and hermitian forms carry a
 Gram matrix; the hermitian pairing conjugates its second argument by
-x -> x^sqrt(q).
+x -> x^sqrt(q).  Every pairing is computed one way, on tuples of element
+indices: B(u, w) = u . kernel_row_i(form, w).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gf import FieldContext, FieldElement
 from . import linalg
@@ -58,6 +60,17 @@ class Form:
 
     def __repr__(self):
         return f"Form({self.family}, dim={self.dim}, {self.ctx!r})"
+
+    @cached_property
+    def bilinear_terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The matrix M of the reflexive pairing, C + C^T for quadratic kinds
+        and the Gram matrix otherwise: per row i, the pairs (j, M[i][j])
+        with M[i][j] != 0."""
+        mat, add = self.matrix, self.ctx.add_i
+        if self.kind == "quadratic":
+            mat = [[add(mat[i][j] if i <= j else 0, mat[j][i] if j <= i else 0)
+                    for j in range(self.dim)] for i in range(self.dim)]
+        return tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in mat)
 
 
 def _empty(dim):
@@ -157,42 +170,44 @@ def eval_form_i(form: Form, v: tuple[int, ...]) -> int:
     return acc
 
 
-def pairing_i(form: Form, u: tuple[int, ...], w: tuple[int, ...]) -> int:
-    ctx = form.ctx
-    conj = form.kind == "hermitian"
-    acc = 0
-    mat = form.matrix
-    for i, ui in enumerate(u):
-        if ui == 0:
-            continue
-        row = mat[i]
-        for j, wj in enumerate(w):
-            g = row[j]
-            if g and wj:
-                rhs = ctx.frob_i(wj) if conj else wj
-                acc = ctx.add_i(acc, ctx.mul_i(g, ctx.mul_i(ui, rhs)))
-    return acc
+def kernel_row_i(form: Form, w: tuple[int, ...]) -> tuple[int, ...]:
+    """M sigma(w), the row r with B(u, w) = u . r for every u.
 
-
-def polarise_i(form: Form, u: tuple[int, ...], w: tuple[int, ...]) -> int:
+    M is the matrix of ``form.bilinear_terms``; sigma is x -> x^sqrt(q) on
+    each coordinate for hermitian forms and the identity otherwise.  perp(S)
+    is the null space of the rows of S.
+    """
     ctx = form.ctx
-    s = tuple(ctx.add_i(a, b) for a, b in zip(u, w))
-    return ctx.sub_i(ctx.sub_i(eval_form_i(form, s), eval_form_i(form, u)),
-                     eval_form_i(form, w))
+    add, mul, _, _ = ctx.tables()
+    if form.kind == "hermitian":
+        w = tuple(map(ctx.frob_i, w))
+    row = []
+    for terms in form.bilinear_terms:
+        acc = 0
+        for j, g in terms:
+            a = w[j]
+            if a:
+                acc = add[acc][mul[g][a]]
+        row.append(acc)
+    return tuple(row)
 
 
 def bilinear_i(form: Form, u: tuple[int, ...], w: tuple[int, ...]) -> int:
-    """The associated reflexive pairing: polarisation for quadratic kinds."""
-    if form.kind == "quadratic":
-        return polarise_i(form, u, w)
-    return pairing_i(form, u, w)
+    """The reflexive pairing B(u, w): the polarisation of Q for quadratic
+    kinds, the Gram pairing otherwise."""
+    add, mul, _, _ = form.ctx.tables()
+    acc = 0
+    for a, r in zip(u, kernel_row_i(form, w)):
+        if a and r:
+            acc = add[acc][mul[a][r]]
+    return acc
 
 
 def singular_i(form: Form, v: tuple[int, ...]) -> bool:
     if form.kind == "quadratic":
         return eval_form_i(form, v) == 0
     if form.kind == "hermitian":
-        return pairing_i(form, v, v) == 0
+        return bilinear_i(form, v, v) == 0
     return True  # symplectic: B(v, v) = 0 always
 
 
@@ -216,7 +231,7 @@ def polarise(form: Form, u, w) -> FieldElement:
         raise KindMismatch(f"polarise needs a quadratic form, got {form.kind}")
     _check_vec(form, u)
     _check_vec(form, w)
-    return form.ctx.element(polarise_i(form, _idx(u), _idx(w)))
+    return form.ctx.element(bilinear_i(form, _idx(u), _idx(w)))
 
 
 def eval_pairing(form: Form, u, w) -> FieldElement:
@@ -225,7 +240,7 @@ def eval_pairing(form: Form, u, w) -> FieldElement:
         raise KindMismatch(f"eval_pairing needs symplectic/hermitian, got {form.kind}")
     _check_vec(form, u)
     _check_vec(form, w)
-    return form.ctx.element(pairing_i(form, _idx(u), _idx(w)))
+    return form.ctx.element(bilinear_i(form, _idx(u), _idx(w)))
 
 
 def is_singular_vector(form: Form, v) -> bool:
@@ -233,40 +248,10 @@ def is_singular_vector(form: Form, v) -> bool:
     return singular_i(form, _idx(v))
 
 
-def bilinear_matrix_i(form: Form) -> tuple[tuple[int, ...], ...]:
-    """Matrix of the reflexive bilinear pairing: C + C^T for quadratic, Gram else."""
-    if form.kind != "quadratic":
-        return form.matrix
-    ctx = form.ctx
-    mat = form.matrix
-    d = form.dim
-    return tuple(
-        tuple(ctx.add_i(mat[i][j] if i <= j else 0, mat[j][i] if j <= i else 0)
-              for j in range(d))
-        for i in range(d)
-    )
-
-
-def bilinear_kernel_rows(form: Form, s):
-    """For each v in s, the row r with B(x, v) = x . r; perp(S) is their kernel."""
-    ctx = form.ctx
-    mat = bilinear_matrix_i(form)
-    rows = []
-    conj = form.kind == "hermitian"
-    for v in s:
-        vi = _idx(v)
-        if conj:
-            vi = tuple(ctx.frob_i(a) for a in vi)
-        row = []
-        for i in range(form.dim):
-            acc = 0
-            for j in range(form.dim):
-                g = mat[i][j]
-                if g and vi[j]:
-                    acc = ctx.add_i(acc, ctx.mul_i(g, vi[j]))
-            row.append(ctx.element(acc))
-        rows.append(tuple(row))
-    return rows
+def perp_i(form: Form, vectors) -> tuple[tuple[int, ...], ...]:
+    """rref basis of {u : B(u, s) = 0 for all s in vectors}, on index tuples."""
+    return linalg.null_space_i(form.ctx, [kernel_row_i(form, v) for v in vectors],
+                               form.dim)
 
 
 def perp(form: Form, vectors):
@@ -274,31 +259,23 @@ def perp(form: Form, vectors):
     vectors = [tuple(v) for v in vectors]
     for v in vectors:
         _check_vec(form, v)
-    if not vectors:
-        one, zero = form.ctx.one, form.ctx.zero
-        return linalg.rref([
-            tuple(one if i == j else zero for j in range(form.dim))
-            for i in range(form.dim)
-        ])
-    rows = bilinear_kernel_rows(form, vectors)
-    return linalg.null_space(rows, form.ctx, form.dim)
+    return linalg.element_rows(form.ctx, perp_i(form, [_idx(v) for v in vectors]))
+
+
+def totally_singular_i(form: Form, rows) -> bool:
+    """Q (or H(., .)) vanishes on the whole span of rows of element indices.
+
+    Equivalent to: every row is singular and every pair pairs to 0, by the
+    expansion Q(au + bw) = ab B(u, w) + a^2 Q(u) + b^2 Q(w).
+    """
+    return (all(singular_i(form, r) for r in rows)
+            and all(bilinear_i(form, rows[i], w) == 0
+                    for i in range(len(rows)) for w in rows[i + 1:]))
 
 
 def is_totally_singular(form: Form, basis) -> bool:
-    """Q (or H(., .)) vanishes on the whole span.
-
-    Equivalent to: every basis vector is singular and every pair pairs to 0,
-    by the expansion Q(au + bw) = ab B(u, w) + a^2 Q(u) + b^2 Q(w).
-    """
-    idx_rows = [_idx(r) for r in basis]
-    for r in idx_rows:
-        if not singular_i(form, r):
-            return False
-    for i in range(len(idx_rows)):
-        for j in range(i + 1, len(idx_rows)):
-            if bilinear_i(form, idx_rows[i], idx_rows[j]) != 0:
-                return False
-    return True
+    """Q (or H(., .)) vanishes on the whole span of element rows."""
+    return totally_singular_i(form, [_idx(r) for r in basis])
 
 
 def form_to_json(form: Form) -> dict:

@@ -25,7 +25,7 @@ from math import comb
 
 from . import forms, graphs, linalg
 from .graphs import PolarGraph
-from .polarspace import NotPairwiseCollinear, NotSingular, PolarSpace, bit_indices
+from .polarspace import NotPairwiseCollinear, PolarSpace, bit_indices
 
 
 class OracleError(Exception):
@@ -202,17 +202,16 @@ def _polar_witness(space: PolarSpace, t0, t1):
         return None
     if m0.proj_dim != n - 1 or m1.proj_dim != n - 1 or m0.key == m1.key:
         return None
-    inter = linalg.row_space_intersection(m0.basis, m1.basis, space.ctx, space.dim)
-    if len(inter) != n - 1:
+    # the points of M ∩ N are the points M and N share
+    common = m0.point_bits & m1.point_bits
+    L = linalg.rref_i(space.ctx, [pts[i].key() for i in bit_indices(common)])
+    if len(L) != n - 1:
         return None
-    L = space.subspace_for_basis(inter)
-    if L.proj_dim != n - 2:
+    if set(bit_indices(m0.point_bits & ~common)) != set(t0):
         return None
-    if set(bit_indices(m0.point_bits & ~L.point_bits)) != set(t0):
+    if set(bit_indices(m1.point_bits & ~common)) != set(t1):
         return None
-    if set(bit_indices(m1.point_bits & ~L.point_bits)) != set(t1):
-        return None
-    return {"L": L.key, "M": m0.key, "N": m1.key}
+    return {"L": sum(L, ()), "M": m0.key, "N": m1.key}
 
 
 def _vector_keys(g: PolarGraph, verts):
@@ -222,34 +221,21 @@ def _vector_keys(g: PolarGraph, verts):
 def _hyperbolic_witness(g: PolarGraph, t0, t1):
     space: PolarSpace = g.space
     ctx = g.ctx
-    m = g.provenance["m"]
     q = ctx.q
     sub = ctx.sub_i
     keys0 = _vector_keys(g, t0)
     keys1 = _vector_keys(g, t1)
     for v in g.vec_index:  # deterministic: dict built in canonical vector order
         sets = []
-        ok = True
         for keys in (keys0, keys1):
             shifted = [tuple(sub(a, b) for a, b in zip(x, v)) for x in keys]
-            if any(not any(x) for x in shifted):
-                ok = False
+            if not all(any(x) for x in shifted):
                 break
-            pts = set()
-            for x in shifted:
-                try:
-                    pts.add(space.point_for_vector(
-                        tuple(ctx.element(c) for c in x)).index)
-                except NotSingular:
-                    ok = False
-                    break
-            if not ok:
-                break
-            if len(pts) * (q - 1) != len(shifted):
-                ok = False
+            pts = {space.point_index(x) for x in shifted}
+            if None in pts or len(pts) * (q - 1) != len(shifted):
                 break
             sets.append(pts)
-        if not ok:
+        if len(sets) != 2:
             continue
         witness = _polar_witness(space, sorted(sets[0]), sorted(sets[1]))
         if witness is not None:
@@ -266,31 +252,21 @@ def _elliptic_witness(g: PolarGraph, t0, t1):
     keys1 = sorted(_vector_keys(g, t1))
     v = keys0[0]
     shifted = [tuple(sub(a, b) for a, b in zip(x, v)) for x in keys0]
-    rows = [tuple(ctx.element(c) for c in x) for x in shifted if any(x)]
-    basis = linalg.rref(rows)
-    if ctx.q ** len(basis) != len(keys0):
+    M = linalg.rref_i(ctx, shifted)
+    if ctx.q ** len(M) != len(keys0) or len(M) != space.rank():
         return None
-    if not forms.is_totally_singular(space.form, basis):
+    if not forms.totally_singular_i(space.form, M):
         return None
-    try:
-        M = space.subspace_for_basis(basis)
-    except NotSingular:
-        return None
-    if M.proj_dim != space.rank() - 1:
-        return None
-    span_keys = {linalg.vec_key(w)
-                 for w in linalg.span_vectors(basis, ctx, space.dim)}
-    if {tuple(x) for x in shifted} != span_keys:
+    if set(shifted) != set(linalg.span_i(ctx, M, space.dim)):
         return None
     t = tuple(sub(a, b) for a, b in zip(keys1[0], v))
     expect1 = sorted(tuple(ctx.add_i(a, b) for a, b in zip(x, t)) for x in keys0)
     if expect1 != keys1:
         return None
-    t_elems = tuple(ctx.element(c) for c in t)
-    perp_basis = forms.perp(space.form, M.basis)
-    if not linalg.in_span(perp_basis, t_elems) or linalg.in_span(M.basis, t_elems):
+    if (not linalg.in_span_i(ctx, forms.perp_i(space.form, M), t)
+            or linalg.in_span_i(ctx, M, t)):
         return None
-    return {"M": M.key, "v": v, "t": t}
+    return {"M": sum(M, ()), "v": v, "t": t}
 
 
 def check_characterisation(g: PolarGraph, catalog: PairCatalog,

@@ -91,6 +91,10 @@ class SingularSubspace:
     def point_indices(self) -> tuple[int, ...]:
         return bit_indices(self.point_bits)
 
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The basis as rows of element indices."""
+        return tuple(linalg.vec_key(r) for r in self.basis)
+
 
 @dataclass(frozen=True)
 class PolarSpaceDescriptor:
@@ -183,14 +187,23 @@ class PolarSpace:
     def point_count(self) -> int:
         return len(self.points())
 
+    def point_index(self, key: tuple[int, ...]) -> int | None:
+        """Index of the point spanned by a nonzero vector of element indices,
+        or None when that point is not singular."""
+        self.points()
+        ctx = self.ctx
+        scale = ctx.tables()[1][ctx.inv_i(next(a for a in key if a))]
+        return self._point_lookup.get(tuple(scale[a] for a in key))
+
     def point_for_vector(self, v) -> ProjectivePoint:
         """The point spanned by a nonzero singular vector."""
-        rep = linalg.normalize_projective(v)
-        key = linalg.vec_key(rep)
-        self.points()
-        if key not in self._point_lookup:
+        key = linalg.vec_key(v)
+        if not any(key):
+            raise ValueError("zero vector has no projective representative")
+        index = self.point_index(key)
+        if index is None:
             raise NotSingular(f"{key} is not a singular point of {self.form!r}")
-        return self._points[self._point_lookup[key]]
+        return self._points[index]
 
     def collinearity_bits(self) -> list[int]:
         """bitset per point: indices of the distinct points collinear with it."""
@@ -199,27 +212,11 @@ class PolarSpace:
             keys = self._point_keys
             n = len(keys)
             rows = [0] * n
-            ctx = self.ctx
-            gram = forms.bilinear_matrix_i(self.form)
-            conj = self.form.kind == "hermitian"
-            d = self.dim
-            # B(u, w) = u . (M sigma(w)): transform each point once, then the
-            # pair scan is a short dot product over u's support
-            transformed = []
-            for w in keys:
-                wv = tuple(ctx.frob_i(a) for a in w) if conj else w
-                col = []
-                for i in range(d):
-                    acc = 0
-                    row = gram[i]
-                    for l in range(d):
-                        g = row[l]
-                        if g and wv[l]:
-                            acc = ctx.add_i(acc, ctx.mul_i(g, wv[l]))
-                    col.append(acc)
-                transformed.append(col)
+            # B(u, w) = u . kernel_row_i(w): one row per point, then the pair
+            # scan is a short dot product over u's support
+            transformed = [forms.kernel_row_i(self.form, w) for w in keys]
             supports = [[(l, v) for l, v in enumerate(w) if v] for w in keys]
-            add_t, mul_t, _, _ = ctx.tables()
+            add_t, mul_t, _, _ = self.ctx.tables()
             for i in range(n):
                 sup = supports[i]
                 for j in range(i + 1, n):
@@ -260,11 +257,18 @@ class PolarSpace:
         return SingularSubspace(linalg.element_rows(self.ctx, rows), key,
                                 point_bits, len(rows) - 1)
 
-    def _subspace_from_rows(self, rows) -> SingularSubspace:
-        """The subspace spanned by rows of element indices, canonicalised."""
+    def _subspace_of_basis(self, basis) -> SingularSubspace:
+        """The subspace with this reduced-echelon basis of index rows."""
         self.points()
-        basis = linalg.rref_i(self.ctx, rows)
         return self._subspace(sum(basis, ()), self._span_point_bits(basis))
+
+    def _singular_span(self, rows, error: PolarSpaceError) -> SingularSubspace:
+        """The span of rows of element indices; raises error unless it is
+        totally singular."""
+        basis = linalg.rref_i(self.ctx, rows)
+        if not forms.totally_singular_i(self.form, basis):
+            raise error
+        return self._subspace_of_basis(basis)
 
     def _level_cache_io(self, d: int, level: list[SingularSubspace] | None):
         if self._cache_dir is None:
@@ -286,7 +290,8 @@ class PolarSpace:
             if entries is None:
                 return None
             try:
-                level = [self._subspace_from_rows(rows) for rows in entries]
+                level = [self._subspace_of_basis(linalg.rref_i(self.ctx, rows))
+                         for rows in entries]
             except (TypeError, ValueError, IndexError, KeyError):
                 return None
             return level if self._is_whole_level(d, level) else None
@@ -320,9 +325,10 @@ class PolarSpace:
             self._levels[d] = cached
             return cached
         if d == 0:
+            # each point key is already reduced, and the keys are sorted
             self.points()
-            level = [self._subspace_from_rows((key,)) for key in self._point_keys]
-            level.sort(key=lambda s: s.key)
+            level = [self._subspace(key, 1 << i)
+                     for i, key in enumerate(self._point_keys)]
         else:
             level = self._extend_level(prev)
         expected = singular_subspace_count(self.family, self.dim, self.ctx.q, d + 1)
@@ -405,7 +411,7 @@ class PolarSpace:
 
     def maximals_containing(self, L: SingularSubspace) -> list[SingularSubspace]:
         """All maximal singular subspaces strictly containing L, sorted."""
-        if not forms.is_totally_singular(self.form, L.basis):
+        if not forms.totally_singular_i(self.form, L.rows()):
             raise NotSingular("L is not totally singular")
         n = self.rank()
         if L.proj_dim >= n - 1:
@@ -444,19 +450,16 @@ class PolarSpace:
             if isinstance(group, ProjectivePoint):
                 group = [group]
             for p in group:
-                rows.append(p.rep)
+                rows.append(p.key())
         if not rows:
             raise PolarSpaceError("span of nothing")
-        basis = linalg.rref(rows)
-        if not forms.is_totally_singular(self.form, basis):
-            raise NotPairwiseCollinear("the span is not totally singular")
-        return self._subspace_from_rows([linalg.vec_key(r) for r in basis])
+        return self._singular_span(
+            rows, NotPairwiseCollinear("the span is not totally singular"))
 
     def subspace_for_basis(self, rows) -> SingularSubspace:
-        basis = linalg.rref(rows)
-        if not forms.is_totally_singular(self.form, basis):
-            raise NotSingular("basis does not span a totally singular subspace")
-        return self._subspace_from_rows([linalg.vec_key(r) for r in basis])
+        return self._singular_span(
+            [linalg.vec_key(r) for r in rows],
+            NotSingular("basis does not span a totally singular subspace"))
 
 
 def bit_indices(bits: int) -> tuple[int, ...]:

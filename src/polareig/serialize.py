@@ -90,13 +90,32 @@ def eigenfunction_csv(f: Eigenfunction) -> str:
     return buf.getvalue()
 
 
+def _integer(value, what: str) -> int:
+    """value as an int where the schema's "integer" type admits it: a JSON
+    number with no fractional part, and not a boolean."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise SerializeError(f"{what} must be an integer, got {value!r}")
+
+
+def _put(values: dict, vertex: int, value: Fraction):
+    if vertex in values:
+        raise SerializeError(f"vertex {vertex} appears twice")
+    values[vertex] = value
+
+
 def eigenfunction_from_json(text: str) -> Eigenfunction:
     payload = json.loads(text)
-    values = {int(v): Fraction(num, den) for v, num, den in payload["entries"]}
+    values = {}
+    for v, num, den in payload["entries"]:
+        _put(values, _integer(v, "vertex"),
+             Fraction(_integer(num, "numerator"), _integer(den, "denominator")))
     graph = payload.get("graph", {})
     if not isinstance(graph, dict):
         raise SerializeError('"graph" must be an object')
-    return Eigenfunction(values, int(payload["theta"]), graph)
+    return Eigenfunction(values, _integer(payload["theta"], "theta"), graph)
 
 
 def eigenfunction_from_csv(text: str) -> Eigenfunction:
@@ -108,7 +127,7 @@ def eigenfunction_from_csv(text: str) -> Eigenfunction:
     for row in reader:
         if not row:
             continue
-        values[int(row[0])] = Fraction(row[1])
+        _put(values, int(row[0]), Fraction(row[1]))
     return Eigenfunction(values, 0, {})
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from polareig import forms, graphs, polarspace
+from polareig import forms, graphs, linalg, polarspace
 from polareig.gf import field_new
 from polareig.polarspace import bit_indices
 
@@ -128,6 +128,13 @@ def reference_rref(rows):
             break
     order = sorted(range(len(out)), key=lambda i: pivot_cols[i])
     return tuple(tuple(out[i]) for i in order)
+
+
+def intersection_rows(ctx, a_rows, b_rows, dim):
+    """rref index rows of rowspace(A) ∩ rowspace(B), as perp-perp under the
+    standard dot product, which is nondegenerate."""
+    return linalg.null_space_i(ctx, linalg.null_space_i(ctx, a_rows, dim)
+                               + linalg.null_space_i(ctx, b_rows, dim), dim)
 
 
 def reference_isolated_pairs(g, s):

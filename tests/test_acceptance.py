@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from click.testing import CliRunner
 
+from conftest import intersection_rows
 from polareig import cache, eigenfunctions as ef
 from polareig import forms, graphs, linalg, oracle, polarspace, serialize
 from polareig.cli import main as cli_main
@@ -274,8 +275,7 @@ def test_criterion6_polarisation_identity(field_key, family, data):
     u = tuple(ctx.element(data.draw(idx)) for _ in range(4))
     w = tuple(ctx.element(data.draw(idx)) for _ in range(4))
     a1, a2 = ctx.element(data.draw(idx)), ctx.element(data.draw(idx))
-    lhs = forms.eval_form(form, linalg.vec_add(linalg.vec_scale(a1, u),
-                                               linalg.vec_scale(a2, w)))
+    lhs = forms.eval_form(form, tuple(a1 * x + a2 * y for x, y in zip(u, w)))
     rhs = a1 * a2 * forms.polarise(form, u, w) \
         + a1 * a1 * forms.eval_form(form, u) \
         + a2 * a2 * forms.eval_form(form, w)
@@ -310,8 +310,8 @@ def test_criterion6_unique_extension_axiom(grid):
                 hits = 0
                 for M in space.maximals():
                     if M.point_bits >> pt.index & 1:
-                        inter = linalg.row_space_intersection(
-                            M.basis, L.basis, space.ctx, space.dim)
+                        inter = intersection_rows(
+                            space.ctx, M.rows(), L.rows(), space.dim)
                         hits += len(inter) == n - 1
                 assert hits == 1
     _passed("C6 unique-extension axiom and maximal dimension, exhaustively")
@@ -333,8 +333,7 @@ def test_criterion6_shift_automorphisms_and_maximal_cliques(grid):
         space = g.space
         cosets = {}
         for M in space.maximals():
-            aff = [linalg.vec_key(w)
-                   for w in linalg.span_vectors(M.basis, ctx, 4)]
+            aff = linalg.span_i(ctx, M.rows(), 4)
             for v in keys:
                 coset = frozenset(
                     g.vec_index[tuple(ctx.add_i(a, b) for a, b in zip(v, w))]
@@ -353,10 +352,9 @@ def test_criterion6_elliptic_neighbour_trichotomy(grid):
         ctx, space = g.ctx, g.space
         keys = [linalg.vec_key(v) for v in g.vertices]
         for M in space.maximals():
-            aff = [linalg.vec_key(w)
-                   for w in linalg.span_vectors(M.basis, ctx, 4)]
-            perp_keys = {linalg.vec_key(w) for w in linalg.span_vectors(
-                forms.perp(space.form, M.basis), ctx, 4)}
+            aff = linalg.span_i(ctx, M.rows(), 4)
+            perp_keys = set(linalg.span_i(ctx, [linalg.vec_key(r) for r in
+                                                forms.perp(space.form, M.basis)], 4))
             for v in keys:
                 clique = 0
                 for w in aff:

@@ -4,9 +4,10 @@ from pathlib import Path
 import jsonschema
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 from click.testing import CliRunner
 
-from polareig import cli, serialize
+from polareig import cli, polarspace, serialize
 from polareig.cli import main
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -68,6 +69,16 @@ def test_invalid_configs_exit_2():
 def test_cap_exceeded_exits_3():
     assert run("build", "--family", "vo+", "--m", "2", "--q", "3",
                "--cap", "50").exit_code == 3
+
+
+def test_cap_is_checked_before_any_point_is_listed(monkeypatch):
+    def no_points(self):
+        raise AssertionError("points listed before the cap check")
+
+    monkeypatch.setattr(polarspace.PolarSpace, "points", no_points)
+    result = run("build", "--family", "sp", "--n", "2", "--q", "1009")
+    assert result.exit_code == 3, result.output
+    assert "1028262820 points exceed the vertex cap 8192" in result.output
 
 
 def test_eigenfunction_writes_and_verifies(tmp_path):
@@ -238,6 +249,37 @@ def _sp22_function(tmp_path):
     return str(path)
 
 
+def _sp22_edited(edit):
+    """The sp:2:2 theta1-polar function file, with its JSON payload edited."""
+    def make(tmp_path):
+        path = Path(_sp22_function(tmp_path))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return str(path)
+    return make
+
+
+def _first_entry(payload):
+    return payload["entries"][0]
+
+
+def _sp22_csv_repeated(tmp_path):
+    path = tmp_path / "sp22.csv"
+    assert run("eigenfunction", "--family", "sp", "--n", "2", "--q", "2",
+               "--construct", "theta1-polar", "--format", "csv",
+               "--out", str(path)).exit_code == 0
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines + lines[1:2]))
+    return str(path)
+
+
+def _blocked_cache_level(tmp_path):
+    """A cache directory where level 1 of sp:2:3 cannot be written."""
+    (tmp_path / "c" / "subspaces_sp_d4_p3k1_lvl1.jsonl").mkdir(parents=True)
+    return str(tmp_path / "c")
+
+
 def _file_with(name, text):
     def make(tmp_path):
         path = tmp_path / name
@@ -288,6 +330,24 @@ def _file_with(name, text):
       "--construct", "theta1-cliquepair"), 2),
     (("verify", "--graph", "vo+:1:2",
       "--function", _file_with("bare.json", '{"theta":1,"entries":[[0,1,1]]}')), 2),
+    (("eigenfunction", "--family", "sp", "--n", "2", "--q", "3",
+      "--construct", "theta1-polar", "--cache-dir", _blocked_cache_level), 6),
+    (("count-check", "--family", "sp", "--n", "2", "--q", "3",
+      "--cache-dir", _blocked_cache_level), 6),
+    (("verify", "--graph", "sp:2:2", "--function", _sp22_edited(
+        lambda p: _first_entry(p).__setitem__(0, _first_entry(p)[0] + 0.4))), 2),
+    (("verify", "--graph", "sp:2:2", "--function", _sp22_edited(
+        lambda p: p.__setitem__("theta", p["theta"] + 0.6))), 2),
+    (("verify", "--graph", "sp:2:2", "--function", _sp22_edited(
+        lambda p: _first_entry(p).__setitem__(2, True))), 2),
+    (("verify", "--graph", "sp:2:2", "--function", _sp22_edited(
+        lambda p: p.__setitem__("theta", True))), 2),
+    (("verify", "--graph", "sp:2:2", "--function", _sp22_edited(
+        lambda p: p["entries"].append(_first_entry(p)))), 2),
+    (("verify", "--graph", "sp:2:2", "--theta", "1",
+      "--function", _sp22_csv_repeated), 2),
+    (("verify", "--graph", "sp:2:2", "--function", _sp22_edited(
+        lambda p: _first_entry(p).__setitem__(2, 1.0))), 0),
 ])
 def test_cli_input_errors_exit_with_documented_codes(args, code, tmp_path):
     (tmp_path / "file").write_text("not a directory")
@@ -297,9 +357,49 @@ def test_cli_input_errors_exit_with_documented_codes(args, code, tmp_path):
         repr(result.exception)
     assert result.exit_code in {0, 2, 3, 4, 5, 6}
     assert result.exit_code == code, result.output
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_verify_names_both_graphs_on_a_mismatch(tmp_path):
     result = run("verify", "--graph", "o-:2:2", "--function", _sp22_function(tmp_path))
     assert result.exit_code == 2
     assert '"family":"sp"' in result.output and '"family":"o-"' in result.output
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for any command on any family with small sizes and a small cap."""
+    command = draw(st.sampled_from(
+        ("build", "eigenfunction", "enumerate", "count-check", "verify")))
+    family = draw(st.sampled_from(cli.GRAPH_FAMILIES))
+    q = draw(st.sampled_from((0, 1, 2, 3, 4, 6, 9)))
+    cap = ["--cap", str(draw(st.integers(0, 100)))]
+    if command == "verify":
+        size = draw(st.integers(-1, 3))
+        return ["verify", "--graph", f"{family}:{size}:{q}", *cap]
+    argv = [command, "--family", family, "--q", str(q), *cap]
+    for flag in ("--n", "--m"):
+        size = draw(st.one_of(st.none(), st.integers(-1, 3)))
+        if size is not None:
+            argv += [flag, str(size)]
+    if command == "eigenfunction":
+        argv += ["--construct", draw(st.sampled_from(tuple(cli.CONSTRUCTIONS)))]
+    if command == "enumerate":
+        argv += ["--kind", draw(st.sampled_from(("isolated", "bipartite")))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def stored_function(tmp_path_factory):
+    return _sp22_function(tmp_path_factory.mktemp("function"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=cli_argv())
+def test_any_small_argv_exits_with_a_documented_code(argv, stored_function):
+    if argv[0] == "verify":
+        argv = argv + ["--function", stored_function]
+    result = run(*argv)
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        (argv, repr(result.exception))
+    assert result.exit_code in {0, 2, 3, 4, 5, 6}, (argv, result.output)

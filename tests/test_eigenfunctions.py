@@ -122,7 +122,8 @@ def test_theta1_elliptic_translation_validation(vo_minus_2):
     non_perp = next(
         linalg.vec_key(v) for v in vo_minus_2.vertices
         if any(c.index for c in v)
-        and not linalg.in_span(perp_basis, v))
+        and not linalg.in_span_i(ctx, [linalg.vec_key(r) for r in perp_basis],
+                                 linalg.vec_key(v)))
     with pytest.raises(TNotInPerp):
         theta1_elliptic(vo_minus_2, M=M, t=non_perp)
 

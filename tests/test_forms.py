@@ -130,7 +130,7 @@ def test_polarisation_expansion_exhaustive(p, family):
     values = {v: forms.eval_form_i(f, v) for v in keys}
     for u in keys:
         for w in keys:
-            b = forms.polarise_i(f, u, w)
+            b = forms.bilinear_i(f, u, w)
             for a1 in range(q):
                 for a2 in range(q):
                     comb = tuple(add(mul(a1, x), mul(a2, y))
@@ -150,8 +150,7 @@ def test_polarisation_expansion_random(field_key, data):
     draw_vec = lambda: tuple(ctx.element(data.draw(idx)) for _ in range(4))
     u, w = draw_vec(), draw_vec()
     a1, a2 = ctx.element(data.draw(idx)), ctx.element(data.draw(idx))
-    lhs = eval_form(f, linalg.vec_add(linalg.vec_scale(a1, u),
-                                      linalg.vec_scale(a2, w)))
+    lhs = eval_form(f, tuple(a1 * x + a2 * y for x, y in zip(u, w)))
     assert lhs == a1 * a2 * polarise(f, u, w) \
         + a1 * a1 * eval_form(f, u) + a2 * a2 * eval_form(f, w)
 
@@ -213,9 +212,9 @@ def test_form_never_vanishes_on_perp_minus_maximal(p):
     for u in singular:
         basis = linalg.rref([u])
         pb = perp(f, basis)
-        for t in linalg.span_vectors(pb, ctx, 4):
-            if not linalg.in_span(basis, t):
-                assert not forms.is_singular_vector(f, t)
+        for t in linalg.span_i(ctx, [linalg.vec_key(r) for r in pb], 4):
+            if not linalg.in_span_i(ctx, [linalg.vec_key(u)], t):
+                assert not forms.singular_i(f, t)
                 checked += 1
     assert checked
 
@@ -236,14 +235,13 @@ def test_form_json_carries_the_full_description():
 def test_standard_forms_are_nondegenerate(family, dim, p, k):
     ctx = field_new(p, k)
     f = standard_form(family, dim, ctx)
-    rows = forms.bilinear_kernel_rows(
-        f, [tuple(ctx.one if i == j else ctx.zero for j in range(dim))
-            for i in range(dim)])
-    radical = linalg.null_space(rows, ctx, dim)
+    rows = [forms.kernel_row_i(f, tuple(int(i == j) for j in range(dim)))
+            for i in range(dim)]
+    radical = linalg.null_space_i(ctx, rows, dim)
     if f.kind == "quadratic":
         # quadric radical: the bilinear radical meeting the quadric
-        bad = [v for v in linalg.span_vectors(radical, ctx, dim)
-               if any(c.index for c in v) and forms.is_singular_vector(f, v)]
+        bad = [v for v in linalg.span_i(ctx, radical, dim)
+               if any(v) and forms.singular_i(f, v)]
         assert not bad
     else:
         assert radical == ()

@@ -95,7 +95,7 @@ def test_affine_adjacency_matches_definition(vo_minus_2):
     for i, x in enumerate(g.vertices):
         for j, y in enumerate(g.vertices):
             expected = i != j and forms.eval_form(
-                form, linalg.vec_sub(x, y)).is_zero()
+                form, tuple(a - b for a, b in zip(x, y))).is_zero()
             assert g.are_adjacent(i, j) == expected
 
 
@@ -251,7 +251,7 @@ def test_every_maximal_clique_is_a_singular_coset(epsilon):
     expected_size = 2 ** (2 if epsilon == 1 else 1)
     cosets = {}
     for M in space.maximals():
-        aff = [linalg.vec_key(w) for w in linalg.span_vectors(M.basis, ctx, 4)]
+        aff = linalg.span_i(ctx, M.rows(), 4)
         for v in (linalg.vec_key(x) for x in g.vertices):
             coset = frozenset(
                 g.vec_index[tuple(ctx.add_i(a, b) for a, b in zip(v, w))]
@@ -271,10 +271,10 @@ def test_elliptic_neighbour_trichotomy_exhaustive(p):
     space = g.space
     keys = [linalg.vec_key(v) for v in g.vertices]
     for M in space.maximals():
-        aff = [linalg.vec_key(w) for w in linalg.span_vectors(M.basis, ctx, 4)]
+        aff = linalg.span_i(ctx, M.rows(), 4)
         perp_basis = forms.perp(space.form, M.basis)
-        perp_keys = {linalg.vec_key(w)
-                     for w in linalg.span_vectors(perp_basis, ctx, 4)}
+        perp_keys = set(linalg.span_i(
+            ctx, [linalg.vec_key(r) for r in perp_basis], 4))
         for v in keys:
             clique = 0
             for w in aff:

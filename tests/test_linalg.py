@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,3 +42,58 @@ def test_mixed_fields_raise_context_mismatch():
         linalg.rref([(f2.one, f2.zero), (f3.zero, f3.one)])
     with pytest.raises(ContextMismatch):
         linalg.rref([(f3.one, f2.zero)])
+
+
+@st.composite
+def small_spans(draw):
+    """Rows and a vector over a field of FIELDS in dimension <= 3; GF(67)
+    stays at dimension and row count <= 2 so that brute force is quick."""
+    p, k = draw(st.sampled_from(FIELDS))
+    ctx = field_new(p, k)
+    small = ctx.q < 67
+    dim = draw(st.integers(1, 3 if small else 2))
+    vector = st.tuples(*[st.integers(0, ctx.q - 1)] * dim)
+    rows = draw(st.lists(vector, max_size=3 if small else 2))
+    return ctx, dim, rows, draw(vector)
+
+
+def _dot(ctx, r, x):
+    acc = 0
+    for a, b in zip(r, x):
+        acc = ctx.add_i(acc, ctx.mul_i(a, b))
+    return acc
+
+
+def _combination(ctx, coeffs, rows, dim):
+    v = (0,) * dim
+    for c, row in zip(coeffs, rows):
+        v = tuple(ctx.add_i(a, ctx.mul_i(c, b)) for a, b in zip(v, row))
+    return v
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_spans())
+def test_span_i_lists_every_coefficient_combination_once_in_order(case):
+    ctx, dim, rows, _ = case
+    span = linalg.span_i(ctx, rows, dim)
+    assert span == sorted(set(span))
+    assert set(span) == {_combination(ctx, coeffs, rows, dim)
+                         for coeffs in product(range(ctx.q), repeat=len(rows))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_spans())
+def test_in_span_i_is_membership_in_span_i(case):
+    ctx, dim, rows, v = case
+    assert linalg.in_span_i(ctx, rows, v) == (v in linalg.span_i(ctx, rows, dim))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_spans())
+def test_null_space_i_spans_the_solutions(case):
+    ctx, dim, rows, _ = case
+    basis = linalg.null_space_i(ctx, rows, dim)
+    assert linalg.rref_i(ctx, basis) == basis
+    solutions = {x for x in product(range(ctx.q), repeat=dim)
+                 if all(_dot(ctx, r, x) == 0 for r in rows)}
+    assert set(linalg.span_i(ctx, basis, dim)) == solutions

@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 
-from conftest import make_space, reference_rref
+from conftest import intersection_rows, make_space, reference_rref
 from polareig import forms, linalg, polarspace
 from polareig.gf import field_new
 from polareig.polarspace import (
@@ -54,7 +54,7 @@ def test_line_count_sp42_against_independent_enumeration():
     for u, w in itertools.combinations(nonzero, 2):
         basis = linalg.rref([u, w])
         if len(basis) == 2 and forms.is_totally_singular(space.form, basis):
-            seen.add(linalg.basis_key(basis))
+            seen.add(sum(map(linalg.vec_key, basis), ()))
     assert seen == {line.key for line in lines}
 
 
@@ -232,8 +232,8 @@ def test_one_maximal_meets_each_in_next_lower_dimension(family, dim, p, k):
             for M in maximals:
                 if not M.point_bits >> pt.index & 1:
                     continue
-                inter = linalg.row_space_intersection(
-                    M.basis, L.basis, space.ctx, space.dim)
+                inter = intersection_rows(
+                    space.ctx, M.rows(), L.rows(), space.dim)
                 if len(inter) == n - 1:
                     hits.append(M)
             assert len(hits) == 1
@@ -261,9 +261,9 @@ def test_every_subspace_is_an_intersection_of_two_maximals(family, dim, p, k):
         for sub in space.subspaces(d):
             found = False
             for m1, m2 in itertools.combinations(maximals, 2):
-                inter = linalg.row_space_intersection(
-                    m1.basis, m2.basis, space.ctx, space.dim)
-                if inter and linalg.basis_key(inter) == sub.key:
+                inter = intersection_rows(
+                    space.ctx, m1.rows(), m2.rows(), space.dim)
+                if inter and sum(inter, ()) == sub.key:
                     found = True
                     break
             assert found
@@ -272,10 +272,10 @@ def test_every_subspace_is_an_intersection_of_two_maximals(family, dim, p, k):
 def test_pairwise_maximal_intersections_are_singular():
     space = make_space("sp", 4, 2)
     for m1, m2 in itertools.combinations(space.maximals(), 2):
-        inter = linalg.row_space_intersection(m1.basis, m2.basis,
-                                              space.ctx, space.dim)
+        inter = intersection_rows(space.ctx, m1.rows(), m2.rows(), space.dim)
         if inter:
-            assert forms.is_totally_singular(space.form, inter)
+            assert forms.is_totally_singular(
+                space.form, linalg.element_rows(space.ctx, inter))
 
 
 def test_enumeration_is_deterministic():
@@ -358,7 +358,8 @@ def _naive_extension(space, prev):
             cand &= collin[pi]
         for pi in range(len(pts)):
             if cand >> pi & 1 and not sub.point_bits >> pi & 1:
-                seen.add(linalg.basis_key(reference_rref(sub.basis + (pts[pi].rep,))))
+                seen.add(sum(map(linalg.vec_key,
+                                 reference_rref(sub.basis + (pts[pi].rep,))), ()))
     return sorted(seen)
 
 
