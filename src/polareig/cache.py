@@ -1,9 +1,10 @@
-"""Disk cache for enumerated subspace lists and pair catalogs.
+"""Canonical JSON and the JSON-lines files that hold pair catalogues.
 
 Files are JSON-lines: one header object, then one entry per line.  Writes
 are deterministic (sorted content, fixed separators) so repeated runs are
-byte-identical.  The cache directory comes from an explicit argument or the
-POLAR_EIG_CACHE environment variable; with neither, caching is off.
+byte-identical.  ``enumerate`` with no ``--out`` writes its catalogue into
+the directory given by ``--cache-dir`` or the POLAR_EIG_CACHE environment
+variable; with neither, it writes no file.  Nothing is ever read back.
 """
 
 from __future__ import annotations
@@ -21,26 +22,22 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def resolve_cache_dir(cache_dir: str | os.PathLike | None) -> Path | None:
-    if cache_dir is None:
-        cache_dir = os.environ.get(ENV_VAR)
-    if not cache_dir:
-        return None
-    path = Path(cache_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _safe(tag: str) -> str:
     return tag.replace("+", "p").replace("-", "m")
 
 
-def subspace_cache_name(family: str, dim: int, p: int, k: int, level: int) -> str:
-    return f"subspaces_{_safe(family)}_d{dim}_p{p}k{k}_lvl{level}.jsonl"
-
-
-def catalog_cache_name(family: str, dim: int, p: int, k: int, kind: str, s: int) -> str:
-    return f"catalog_{_safe(family)}_d{dim}_p{p}k{k}_{kind}_s{s}.jsonl"
+def catalog_path(directory: str | os.PathLike | None, provenance: dict,
+                 kind: str, s: int) -> Path | None:
+    """The catalogue file for a graph and pair kind, in directory (or else
+    $POLAR_EIG_CACHE), which is created if missing; None with neither."""
+    if directory is None:
+        directory = os.environ.get(ENV_VAR)
+    if not directory:
+        return None
+    path = Path(directory)
+    path.mkdir(parents=True, exist_ok=True)
+    return path / (f"catalog_{_safe(provenance['family'])}_d{provenance['dim']}"
+                   f"_p{provenance['p']}k{provenance['k']}_{kind}_s{s}.jsonl")
 
 
 def write_jsonl(path: Path, header: dict, lines: list) -> None:
@@ -59,6 +56,7 @@ def write_jsonl(path: Path, header: dict, lines: list) -> None:
         raise
 
 
+# unused by the package; kept because the benchmark launcher wraps it by name
 def read_jsonl(path: Path, expect_header: dict) -> list | None:
     """Entries if the file exists, its header matches and every line parses,
     else None."""

@@ -50,7 +50,7 @@ def _echo_json(payload: dict):
 
 
 def build_graph(family: str, q: int, n: int | None, m: int | None,
-                cap: int = VERTEX_CAP, cache_dir=None) -> graphs.PolarGraph:
+                cap: int = VERTEX_CAP) -> graphs.PolarGraph:
     """Construct the requested graph, enforcing the vertex cap."""
     if family not in GRAPH_FAMILIES:
         raise ConfigError(f"unknown family {family!r}")
@@ -67,8 +67,7 @@ def build_graph(family: str, q: int, n: int | None, m: int | None,
             raise ConfigError(f"m = {m} must be >= 1")
         if q ** (2 * m) > cap:
             raise CapError(f"q^(2m) = {q ** (2 * m)} exceeds the vertex cap {cap}")
-        return graphs.affine_polar_graph(m, 1 if family == "vo+" else -1, ctx,
-                                         cache_dir=cache_dir)
+        return graphs.affine_polar_graph(m, 1 if family == "vo+" else -1, ctx)
     if n is None:
         n = 2
     dim = {"sp": 2 * n, "o+": 2 * n, "o": 2 * n + 1, "o-": 2 * n + 2,
@@ -80,11 +79,10 @@ def build_graph(family: str, q: int, n: int | None, m: int | None,
     points = polarspace.singular_subspace_count(family, dim, q, 1)
     if points > cap:  # checked in closed form, before any point is listed
         raise CapError(f"{points} points exceed the vertex cap {cap}")
-    space = polarspace.polar_space(form, cache_dir=cache_dir)
     try:
         if family == "u" and dim == 4:
-            return graphs.unitary_graph(ctx, cache_dir=cache_dir)
-        return graphs.collinearity_graph(space)
+            return graphs.unitary_graph(ctx)
+        return graphs.collinearity_graph(polarspace.polar_space(form))
     except graphs.RankTooLow as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -148,9 +146,16 @@ def _common_options(fn):
                       help="half the dimension for vo+/vo-")(fn)
     fn = click.option("--cap", type=int, default=VERTEX_CAP, show_default=True,
                       help="vertex cap")(fn)
-    fn = click.option("--cache-dir", default=None,
-                      help=f"subspace/catalog cache (or ${_cache.ENV_VAR})")(fn)
     return fn
+
+
+def _cache_dir_option(used: bool):
+    """--cache-dir names where enumerate writes its catalogue when --out is
+    absent; every other command accepts it and ignores it."""
+    return click.option(
+        "--cache-dir", default=None, expose_value=used,
+        help=(f"catalogue directory when --out is absent (or ${_cache.ENV_VAR})"
+              if used else "ignored: only enumerate writes there"))
 
 
 @click.group()
@@ -160,12 +165,13 @@ def main():
 
 @main.command()
 @_common_options
+@_cache_dir_option(False)
 @click.option("--format", "fmt", type=click.Choice(sorted(serialize.GRAPH_FORMATS)),
               default=None, help="also export the graph in this format")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def build(family, q, n, m, cap, cache_dir, fmt, out):
+def build(family, q, n, m, cap, fmt, out):
     """Build a graph, verify strong regularity, print the parameter summary."""
-    g = _build_or_exit(family, q, n, m, cap, cache_dir)
+    g = _build_or_exit(family, q, n, m, cap)
     _echo_json(build_summary(g))
     if fmt:
         text = serialize.GRAPH_FORMATS[fmt](g)
@@ -177,11 +183,12 @@ def build(family, q, n, m, cap, cache_dir, fmt, out):
 
 @main.command()
 @_common_options
+@_cache_dir_option(False)
 @click.option("--construct", required=True, type=click.Choice(tuple(CONSTRUCTIONS)))
 @click.option("--format", "fmt", type=click.Choice(("json", "csv")), default="json",
               show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def eigenfunction(family, q, n, m, cap, cache_dir, construct, fmt, out):
+def eigenfunction(family, q, n, m, cap, construct, fmt, out):
     """Run a construction, verify it, and write the eigenfunction file."""
     served = CONSTRUCTIONS[construct]
     if family not in served or served[family] not in (None, 2 if n is None else n):
@@ -190,14 +197,12 @@ def eigenfunction(family, q, n, m, cap, cache_dir, construct, fmt, out):
         raise SystemExit(_fail(2, f"{construct} needs family {need}"))
     if (construct, family) in NEEDS_M2 and m is not None and m < 2:
         raise SystemExit(_fail(2, f"{construct} needs family {family} with --m >= 2"))
-    g = _build_or_exit(family, q, n, m, cap, cache_dir)
+    g = _build_or_exit(family, q, n, m, cap)
     try:
         f = _construct(g, construct)
         report = ef.verify_eigenfunction(g, f)
     except (ef.EigenfunctionError, graphs.GraphError) as exc:
         raise SystemExit(_fail(4, f"construction failed verification: {exc}"))
-    except OSError as exc:  # a subspace level that cannot be cached
-        raise SystemExit(_fail(6, f"cache I/O error: {exc}"))
     text = (serialize.eigenfunction_json(f) if fmt == "json"
             else serialize.eigenfunction_csv(f))
     if out:
@@ -235,6 +240,7 @@ def _construct(g: graphs.PolarGraph, name: str) -> ef.Eigenfunction:
 
 @main.command("enumerate")
 @_common_options
+@_cache_dir_option(True)
 @click.option("--kind", type=click.Choice(("isolated", "bipartite")),
               default="isolated", show_default=True)
 @click.option("--size", "size", type=click.IntRange(min=1), default=None,
@@ -242,7 +248,7 @@ def _construct(g: graphs.PolarGraph, name: str) -> ef.Eigenfunction:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def enumerate_pairs(family, q, n, m, cap, cache_dir, kind, size, out):
     """Exhaustively catalogue isolated-clique or complete-bipartite pairs."""
-    g = _build_or_exit(family, q, n, m, cap, cache_dir)
+    g = _build_or_exit(family, q, n, m, cap)
     params = g.srg_params()
     spec = graphs.spectrum(params)
     if size is None:
@@ -252,33 +258,27 @@ def enumerate_pairs(family, q, n, m, cap, cache_dir, kind, size, out):
     else:
         catalog = oracle.enumerate_bipartite_pairs(g, size)
     header, lines = serialize.catalog_json_lines(catalog, g.provenance)
-    target = out
-    if target is None:
-        cdir = _cache.resolve_cache_dir(cache_dir)
-        if cdir is not None:
-            target = cdir / _cache.catalog_cache_name(
-                g.provenance["family"], g.provenance["dim"],
-                g.provenance["p"], g.provenance["k"], catalog.kind, size)
-    if target is not None:
-        try:
+    try:
+        # an empty --out counts as absent, as in build and eigenfunction
+        target = out or _cache.catalog_path(cache_dir, g.provenance, catalog.kind, size)
+        if target is not None:
             _cache.write_jsonl(Path(target), header, lines)
-        except OSError as exc:
-            raise SystemExit(_fail(6, f"cannot write catalog: {exc}"))
+    except OSError as exc:
+        raise SystemExit(_fail(6, f"cannot write catalog: {exc}"))
     _echo_json({"kind": catalog.kind, "s": size, "counts": catalog.counts(),
                 "out": str(target) if target else None})
 
 
 @main.command("count-check")
 @_common_options
-def count_check(family, q, n, m, cap, cache_dir):
+@_cache_dir_option(False)
+def count_check(family, q, n, m, cap):
     """Compare the enumerated pair count with the closed formulas (exit 5 on mismatch)."""
-    g = _build_or_exit(family, q, n, m, cap, cache_dir)
+    g = _build_or_exit(family, q, n, m, cap)
     try:
         comparison = oracle.count_comparison(g)
     except oracle.OracleError as exc:
         raise SystemExit(_fail(2, str(exc)))
-    except OSError as exc:  # a subspace level that cannot be cached
-        raise SystemExit(_fail(6, f"cache I/O error: {exc}"))
     _echo_json(comparison.to_json())
     ok = comparison.printed_matches and comparison.derived_matches
     raise SystemExit(0 if ok else 5)
@@ -292,14 +292,14 @@ def count_check(family, q, n, m, cap, cache_dir):
 @click.option("--theta", type=int, default=None,
               help="eigenvalue override (needed for CSV files)")
 @click.option("--cap", type=int, default=VERTEX_CAP, show_default=True)
-@click.option("--cache-dir", default=None)
-def verify(graph_spec, function_path, theta, cap, cache_dir):
+@_cache_dir_option(False)
+def verify(graph_spec, function_path, theta, cap):
     """Re-check a stored eigenfunction against a freshly built graph."""
     try:
         family, size, q, n, m = parse_graph_spec(graph_spec)
     except ConfigError as exc:
         raise SystemExit(_fail(2, str(exc)))
-    g = _build_or_exit(family, q, n, m, cap, cache_dir)
+    g = _build_or_exit(family, q, n, m, cap)
     try:
         f = serialize.load_eigenfunction(function_path)
     except OSError as exc:
@@ -326,17 +326,15 @@ def verify(graph_spec, function_path, theta, cap, cache_dir):
                 "support_size": report.support_size, "tight": report.tight})
 
 
-def _build_or_exit(family, q, n, m, cap, cache_dir) -> graphs.PolarGraph:
+def _build_or_exit(family, q, n, m, cap) -> graphs.PolarGraph:
     """The requested graph, checked to be primitive strongly regular; every
     command reads its parameters, so the check costs nothing extra."""
     try:
-        g = build_graph(family, q, n, m, cap=cap, cache_dir=cache_dir)
+        g = build_graph(family, q, n, m, cap=cap)
     except ConfigError as exc:
         raise SystemExit(_fail(2, str(exc)))
     except CapError as exc:
         raise SystemExit(_fail(3, str(exc)))
-    except OSError as exc:
-        raise SystemExit(_fail(6, f"cache I/O error: {exc}"))
     try:
         graphs.spectrum(g.srg_params())
     except graphs.GraphError as exc:

@@ -159,8 +159,7 @@ def collinearity_graph(space: PolarSpace) -> PolarGraph:
     return PolarGraph(pts, adj, prov, space=space, ctx=space.ctx)
 
 
-def affine_polar_graph(m: int, epsilon: int, ctx: FieldContext,
-                       cache_dir=None) -> PolarGraph:
+def affine_polar_graph(m: int, epsilon: int, ctx: FieldContext) -> PolarGraph:
     """Graph on all q^(2m) vectors; x ~ y iff x != y and Q(x - y) = 0."""
     if m < 1:
         raise GraphError("m must be >= 1")
@@ -168,7 +167,7 @@ def affine_polar_graph(m: int, epsilon: int, ctx: FieldContext,
         raise GraphError("epsilon must be +1 or -1")
     family = "vo+" if epsilon == 1 else "vo-"
     form = forms.standard_form("o+" if epsilon == 1 else "o-", 2 * m, ctx)
-    space = polarspace.polar_space(form, cache_dir=cache_dir)
+    space = polarspace.polar_space(form)
     d = 2 * m
     q = ctx.q
     vecs = [tuple(c) for c in product(range(q), repeat=d)]
@@ -202,11 +201,11 @@ def affine_polar_graph(m: int, epsilon: int, ctx: FieldContext,
     return g
 
 
-def unitary_graph(ctx: FieldContext, cache_dir=None) -> PolarGraph:
+def unitary_graph(ctx: FieldContext) -> PolarGraph:
     """The rank-2 hermitian graph on the isotropic points of GF(q)^4, q square."""
     ctx.sqrt_q  # raises OddExtensionDegree when q is not a square
     form = forms.standard_form("u", 4, ctx)
-    space = polarspace.polar_space(form, cache_dir=cache_dir)
+    space = polarspace.polar_space(form)
     g = collinearity_graph(space)
     g.provenance = dict(g.provenance, kind="unitary")
     return g

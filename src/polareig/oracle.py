@@ -344,6 +344,8 @@ def printed_hyperbolic_count(space: PolarSpace, m: int) -> int:
 
 def derived_hyperbolic_count(space: PolarSpace, m: int) -> int:
     """choose(t+1, 2) * q^(m+1) cosets * number of (m-2)-dimensional subspaces."""
+    if m < 2:
+        raise OracleError(f"m = {m}: the hyperbolic count needs an (m-2)-space")
     desc = space.descriptor()
     t = desc.order[1]
     q = space.ctx.q

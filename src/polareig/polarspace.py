@@ -18,7 +18,10 @@ The rank n is the Witt index of the form (``witt_index``), so building a
 graph enumerates no subspace level.  Every freshly enumerated level is
 checked to hold exactly N_k = ``singular_subspace_count`` members, and
 ``descriptor()`` checks the rank against enumeration: level n-1 must be
-non-empty and level n empty.
+non-empty and level n empty.  The maximals through a subspace L are grown
+from L alone (``maximals_containing``), so the polar and hyperbolic
+constructions, which need only the t+1 maximals through one L, never list
+the top level.
 
 All output lists are sorted by the canonical subspace key, making every
 downstream computation reproducible.
@@ -32,7 +35,6 @@ from functools import lru_cache
 from itertools import product
 from math import isqrt
 
-from . import cache as _cache
 from . import forms, linalg
 from .forms import Form
 
@@ -149,14 +151,14 @@ def singular_subspace_count(family: str, dim: int, q: int, k: int) -> int:
 
 
 class PolarSpace:
-    """The polar space of a standard form, with cached enumerations."""
+    """The polar space of a standard form; each enumerated level is kept in
+    memory for the life of the instance."""
 
-    def __init__(self, form: Form, cache_dir=None):
+    def __init__(self, form: Form):
         self.form = form
         self.ctx = form.ctx
         self.family = form.family
         self.dim = form.dim
-        self._cache_dir = _cache.resolve_cache_dir(cache_dir)
         self._points: list[ProjectivePoint] | None = None
         self._point_keys: list[tuple[int, ...]] = []
         self._point_lookup: dict[tuple[int, ...], int] = {}
@@ -257,59 +259,14 @@ class PolarSpace:
         return SingularSubspace(linalg.element_rows(self.ctx, rows), key,
                                 point_bits, len(rows) - 1)
 
-    def _subspace_of_basis(self, basis) -> SingularSubspace:
-        """The subspace with this reduced-echelon basis of index rows."""
-        self.points()
-        return self._subspace(sum(basis, ()), self._span_point_bits(basis))
-
     def _singular_span(self, rows, error: PolarSpaceError) -> SingularSubspace:
         """The span of rows of element indices; raises error unless it is
         totally singular."""
         basis = linalg.rref_i(self.ctx, rows)
         if not forms.totally_singular_i(self.form, basis):
             raise error
-        return self._subspace_of_basis(basis)
-
-    def _level_cache_io(self, d: int, level: list[SingularSubspace] | None):
-        if self._cache_dir is None:
-            return None
-        name = _cache.subspace_cache_name(self.family, self.dim, self.ctx.p,
-                                          self.ctx.k, d)
-        path = self._cache_dir / name
-        header = {
-            "family": self.family,
-            "dim": self.dim,
-            "p": self.ctx.p,
-            "k": self.ctx.k,
-            "modulus": list(self.ctx.modulus),
-            "level": d,
-        }
-        if level is None:
-            # a damaged file is a miss, so the level is enumerated and rewritten
-            entries = _cache.read_jsonl(path, header)
-            if entries is None:
-                return None
-            try:
-                level = [self._subspace_of_basis(linalg.rref_i(self.ctx, rows))
-                         for rows in entries]
-            except (TypeError, ValueError, IndexError, KeyError):
-                return None
-            return level if self._is_whole_level(d, level) else None
-        _cache.write_jsonl(path, header,
-                           [[list(row) for row in zip(*[iter(s.key)] * self.dim)]
-                            for s in level])
-        return None
-
-    def _is_whole_level(self, d: int, level: list[SingularSubspace]) -> bool:
-        """Whether level holds N_k distinct totally singular k-spaces
-        (k = d + 1) in key order: only the whole level does."""
-        collin = self.collinearity_bits()
-        return (len(level) == singular_subspace_count(self.family, self.dim,
-                                                      self.ctx.q, d + 1)
-                and all(a.key < b.key for a, b in zip(level, level[1:]))
-                and all(len(sub.key) == (d + 1) * self.dim for sub in level)
-                and all((collin[p] | 1 << p) & sub.point_bits == sub.point_bits
-                        for sub in level for p in bit_indices(sub.point_bits)))
+        self.points()
+        return self._subspace(sum(basis, ()), self._span_point_bits(basis))
 
     def subspaces(self, d: int) -> list[SingularSubspace]:
         """All totally singular subspaces of projective dimension d, sorted."""
@@ -317,26 +274,18 @@ class PolarSpace:
             raise DimensionOutOfRange(f"projective dimension {d} out of range")
         if d in self._levels:
             return self._levels[d]
-        if d > 0:
-            # ensure the previous level exists first
-            prev = self.subspaces(d - 1)
-        cached = self._level_cache_io(d, None)
-        if cached is not None:
-            self._levels[d] = cached
-            return cached
         if d == 0:
             # each point key is already reduced, and the keys are sorted
             self.points()
             level = [self._subspace(key, 1 << i)
                      for i, key in enumerate(self._point_keys)]
         else:
-            level = self._extend_level(prev)
+            level = self._extend_level(self.subspaces(d - 1))
         expected = singular_subspace_count(self.family, self.dim, self.ctx.q, d + 1)
         if len(level) != expected:
             raise LevelCountMismatch(
                 f"level {d} holds {len(level)} subspaces, but N_{d + 1} = {expected}")
         self._levels[d] = level
-        self._level_cache_io(d, level)
         return level
 
     def _extend_level(self, prev: list[SingularSubspace]) -> list[SingularSubspace]:
@@ -384,8 +333,12 @@ class PolarSpace:
             # no (n-2)-dimensional singular subspaces exist; order degenerates
             t = 0
         else:
+            # t+1 counted over the enumerated top level: a check of the
+            # enumeration, which maximals_containing does not read
+            maximals = self.maximals()
             counts = {
-                len(self.maximals_containing(L)) for L in self.subspaces(n - 2)
+                sum(M.point_bits & L.point_bits == L.point_bits for M in maximals)
+                for L in self.subspaces(n - 2)
             }
             if len(counts) != 1:
                 raise OrderNotWellDefined(f"t+1 takes several values: {sorted(counts)}")
@@ -410,14 +363,19 @@ class PolarSpace:
     # -- the building blocks of the optimal eigenfunctions -------------------------
 
     def maximals_containing(self, L: SingularSubspace) -> list[SingularSubspace]:
-        """All maximal singular subspaces strictly containing L, sorted."""
+        """All maximal singular subspaces strictly containing L, sorted.
+
+        They are grown from L one dimension at a time, so no level of the
+        space is listed."""
         if not forms.totally_singular_i(self.form, L.rows()):
             raise NotSingular("L is not totally singular")
         n = self.rank()
         if L.proj_dim >= n - 1:
             return []
-        return [M for M in self.maximals()
-                if M.point_bits & L.point_bits == L.point_bits]
+        grown = [L]
+        for _ in range(L.proj_dim, n - 1):
+            grown = self._extend_level(grown)
+        return grown
 
     def difference_pairs(self, L: SingularSubspace):
         """Unordered pairs {M minus L, N minus L} over distinct maximals through L.
@@ -473,18 +431,9 @@ def bit_indices(bits: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _space_cached(form: Form, cache_dir: str | None) -> PolarSpace:
-    return PolarSpace(form, cache_dir=cache_dir)
-
-
-def polar_space(form: Form, cache_dir=None) -> PolarSpace:
-    """Shared PolarSpace instance for a form (enumerations are reused).
-
-    The cache directory (argument or POLAR_EIG_CACHE) is resolved before
-    keying, so instances never leak across different cache settings.
-    """
-    resolved = _cache.resolve_cache_dir(cache_dir)
-    return _space_cached(form, str(resolved) if resolved is not None else None)
+def polar_space(form: Form) -> PolarSpace:
+    """Shared PolarSpace instance for a form (enumerations are reused)."""
+    return PolarSpace(form)
 
 
 # Thin operation-style wrappers.

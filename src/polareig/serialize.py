@@ -108,11 +108,19 @@ def _put(values: dict, vertex: int, value: Fraction):
 
 def eigenfunction_from_json(text: str) -> Eigenfunction:
     payload = json.loads(text)
+    if not isinstance(payload, dict) or payload.keys() != {"graph", "theta", "entries"}:
+        raise SerializeError('an eigenfunction file is an object with exactly '
+                             'the keys "graph", "theta" and "entries"')
+    entries = payload["entries"]
+    if not isinstance(entries, list) or not all(
+            isinstance(e, list) and len(e) == 3 for e in entries):
+        raise SerializeError('"entries" must be a list of [vertex, numerator, '
+                             'denominator] triples')
     values = {}
-    for v, num, den in payload["entries"]:
+    for v, num, den in entries:
         _put(values, _integer(v, "vertex"),
              Fraction(_integer(num, "numerator"), _integer(den, "denominator")))
-    graph = payload.get("graph", {})
+    graph = payload["graph"]
     if not isinstance(graph, dict):
         raise SerializeError('"graph" must be an object')
     return Eigenfunction(values, _integer(payload["theta"], "theta"), graph)
@@ -127,6 +135,8 @@ def eigenfunction_from_csv(text: str) -> Eigenfunction:
     for row in reader:
         if not row:
             continue
+        if len(row) != 2:
+            raise SerializeError(f"CSV row {row!r} does not have two fields")
         _put(values, int(row[0]), Fraction(row[1]))
     return Eigenfunction(values, 0, {})
 

@@ -393,7 +393,7 @@ def test_criterion7_reruns_are_byte_identical(tmp_path):
     snapshots = []
     for run_dir in (tmp_path / "first", tmp_path / "second"):
         run_dir.mkdir()
-        space = polarspace.PolarSpace(form, cache_dir=run_dir)
+        space = polarspace.PolarSpace(form)
         g = graphs.collinearity_graph(space)
         catalog = oracle.enumerate_isolated_clique_pairs(g, 3)
         header, lines = serialize.catalog_json_lines(catalog, g.provenance)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -221,15 +222,15 @@ def test_graph_json_export_validates(tmp_path):
 
 def test_cache_env_var_is_honoured(tmp_path, monkeypatch):
     monkeypatch.setenv("POLAR_EIG_CACHE", str(tmp_path))
-    # the graph needs no subspace level, so a build caches none
-    result = run("build", "--family", "sp", "--n", "2", "--q", "3")
+    result = run("enumerate", "--family", "sp", "--n", "2", "--q", "3")
     assert result.exit_code == 0
-    assert not any("subspaces_sp" in p.name for p in tmp_path.iterdir())
+    names = [p.name for p in tmp_path.iterdir()]
+    assert names == ["catalog_sp_d4_p3k1_isolated_cliques_s3.jsonl"]
+    # only enumerate writes to the directory
     result = run("eigenfunction", "--family", "sp", "--n", "2", "--q", "3",
                  "--construct", "theta1-polar")
     assert result.exit_code == 0
-    names = [p.name for p in tmp_path.iterdir()]
-    assert any("subspaces_sp" in n for n in names)
+    assert [p.name for p in tmp_path.iterdir()] == names
 
 
 def test_cli_output_is_deterministic():
@@ -274,12 +275,6 @@ def _sp22_csv_repeated(tmp_path):
     return str(path)
 
 
-def _blocked_cache_level(tmp_path):
-    """A cache directory where level 1 of sp:2:3 cannot be written."""
-    (tmp_path / "c" / "subspaces_sp_d4_p3k1_lvl1.jsonl").mkdir(parents=True)
-    return str(tmp_path / "c")
-
-
 def _file_with(name, text):
     def make(tmp_path):
         path = tmp_path / name
@@ -289,7 +284,7 @@ def _file_with(name, text):
 
 
 @pytest.mark.parametrize("args,code", [
-    (("build", "--family", "sp", "--n", "2", "--q", "2",
+    (("enumerate", "--family", "sp", "--n", "2", "--q", "2",
       "--cache-dir", lambda t: str(t / "file" / "sub")), 6),
     (("enumerate", "--family", "sp", "--n", "2", "--q", "2", "--size", "0"), 2),
     (("enumerate", "--family", "sp", "--n", "2", "--q", "2",
@@ -314,7 +309,7 @@ def _file_with(name, text):
     (("verify", "--graph", "sp:2:2", "--theta", "1",
       "--function", _file_with("short.csv", "vertex,value\n0\n")), 2),
     (("verify", "--graph", "sp:2:2", "--function",
-      _file_with("far.json", '{"theta":1,"entries":[[99,1,1]]}')), 4),
+      _file_with("far.json", '{"graph":{},"theta":1,"entries":[[99,1,1]]}')), 4),
     (("verify", "--graph", "sp:2:2", "--function", lambda t: str(t / "none.json")), 6),
     (("eigenfunction", "--family", "vo+", "--m", "1", "--q", "2",
       "--construct", "theta1-hyperbolic"), 2),
@@ -330,10 +325,10 @@ def _file_with(name, text):
       "--construct", "theta1-cliquepair"), 2),
     (("verify", "--graph", "vo+:1:2",
       "--function", _file_with("bare.json", '{"theta":1,"entries":[[0,1,1]]}')), 2),
-    (("eigenfunction", "--family", "sp", "--n", "2", "--q", "3",
-      "--construct", "theta1-polar", "--cache-dir", _blocked_cache_level), 6),
-    (("count-check", "--family", "sp", "--n", "2", "--q", "3",
-      "--cache-dir", _blocked_cache_level), 6),
+    (("verify", "--graph", "sp:2:2", "--function", _sp22_edited(
+        lambda p: p.pop("graph"))), 2),
+    (("verify", "--graph", "sp:2:2", "--function", _sp22_edited(
+        lambda p: p.__setitem__("extra", 1))), 2),
     (("verify", "--graph", "sp:2:2", "--function", _sp22_edited(
         lambda p: _first_entry(p).__setitem__(0, _first_entry(p)[0] + 0.4))), 2),
     (("verify", "--graph", "sp:2:2", "--function", _sp22_edited(
@@ -348,6 +343,10 @@ def _file_with(name, text):
       "--function", _sp22_csv_repeated), 2),
     (("verify", "--graph", "sp:2:2", "--function", _sp22_edited(
         lambda p: _first_entry(p).__setitem__(2, 1.0))), 0),
+    (("verify", "--graph", "sp:2:2", "--theta", "1",
+      "--function", _file_with("three.csv", "vertex,value\n3,1,junk\n")), 2),
+    (("count-check", "--family", "vo+", "--m", "1", "--q", "3"), 2),
+    (("enumerate", "--family", "sp", "--n", "2", "--q", "2", "--out", ""), 0),
 ])
 def test_cli_input_errors_exit_with_documented_codes(args, code, tmp_path):
     (tmp_path / "file").write_text("not a directory")
@@ -403,3 +402,113 @@ def test_any_small_argv_exits_with_a_documented_code(argv, stored_function):
     assert result.exception is None or isinstance(result.exception, SystemExit), \
         (argv, repr(result.exception))
     assert result.exit_code in {0, 2, 3, 4, 5, 6}, (argv, result.output)
+
+
+def _edited(edit):
+    payload = {"graph": {"family": "sp", "q": 2}, "theta": 1,
+               "entries": [[0, 1, 1], [3, -1, 2]]}
+    edit(payload)
+    return payload
+
+
+@pytest.mark.parametrize("payload", [
+    _edited(lambda p: None),
+    _edited(lambda p: p.pop("graph")),
+    _edited(lambda p: p.pop("theta")),
+    _edited(lambda p: p.pop("entries")),
+    _edited(lambda p: p.__setitem__("extra", 1)),
+    _edited(lambda p: p.__setitem__("graph", 5)),
+    _edited(lambda p: p.__setitem__("graph", [])),
+    _edited(lambda p: p.__setitem__("graph", {})),
+    _edited(lambda p: p.__setitem__("theta", 1.5)),
+    _edited(lambda p: p.__setitem__("theta", 2.0)),
+    _edited(lambda p: p.__setitem__("theta", True)),
+    _edited(lambda p: p.__setitem__("theta", "1")),
+    _edited(lambda p: p.__setitem__("entries", {})),
+    _edited(lambda p: p.__setitem__("entries", 5)),
+    _edited(lambda p: p.__setitem__("entries", [])),
+    _edited(lambda p: p.__setitem__("entries", "")),
+    _edited(lambda p: p["entries"].append([5, 1])),
+    _edited(lambda p: p["entries"].append([5, 1, 1, 1])),
+    _edited(lambda p: p["entries"].append(5)),
+    _edited(lambda p: p["entries"].append("567")),
+    _edited(lambda p: p["entries"].append({"v": 5, "n": 1, "d": 1})),
+    _edited(lambda p: p["entries"].append([5, 1.5, 1])),
+    _edited(lambda p: p["entries"].append([5, 3.0, 1])),
+    _edited(lambda p: p["entries"].append([5, None, 1])),
+    _edited(lambda p: p["entries"].append([5, 1, False])),
+    [],
+    "text",
+])
+def test_eigenfunction_loader_agrees_with_the_schema(payload):
+    # structural edits only: a repeated vertex or a zero denominator passes
+    # the schema and is rejected by the loader on top of it
+    try:
+        jsonschema.validate(payload, load_schema("eigenfunction.schema.json"))
+    except jsonschema.ValidationError:
+        valid = False
+    else:
+        valid = True
+    try:
+        serialize.eigenfunction_from_json(json.dumps(payload))
+    except serialize.SerializeError:
+        loaded = False
+    else:
+        loaded = True
+    assert loaded == valid
+
+
+# sha256 of stdout and of the --out file, recorded before the subspace
+# levels stopped being cached; every output is byte-identical since
+GOLDEN = [
+    (("eigenfunction", "--family", "sp", "--n", "2", "--q", "3",
+      "--construct", "theta1-polar", "--out", "f.json"),
+     "2de1f051d057c1be2f34195320c81d3471e0b19c72e035585c79021ef447ee2f",
+     "b3acaf440a7c327c28ee03256b5d235c7798f5d6bcfcd43dc18be53b053c9f99"),
+    (("eigenfunction", "--family", "o", "--n", "2", "--q", "3",
+      "--construct", "theta1-polar", "--out", "f.json"),
+     "2de1f051d057c1be2f34195320c81d3471e0b19c72e035585c79021ef447ee2f",
+     "b5a71160d2f2bee5da7d788361426fa41facdfa808a150433dd65a45cb3d66c6"),
+    (("eigenfunction", "--family", "o-", "--n", "2", "--q", "2",
+      "--construct", "theta1-polar", "--out", "f.json"),
+     "79b350a895b17bbf2e405bb9e388a6812d9b9c05deaafca40757d4f793f5979f",
+     "9fe16c81e5d0513620f40db8dbf3bcecd2276c9ae2158eac1f360e93255332f0"),
+    (("eigenfunction", "--family", "u", "--n", "2", "--q", "4",
+      "--construct", "theta1-polar", "--out", "f.json"),
+     "638c6ea0c311fa3f948250e566a8f53cd3658006a8ec276c0b9bfca5155a7581",
+     "c9870a1dda479790e909ff67002450ac8212ce52abcf451980f1ae27d5897088"),
+    (("eigenfunction", "--family", "vo+", "--m", "2", "--q", "3",
+      "--construct", "theta1-hyperbolic", "--out", "f.json"),
+     "107bf85cd11fdba2517aa91f1a888efb03ad62fddc12f8a34c3fece7bd1e76fd",
+     "51dfe727959d44590cf43743eec4963bd86f8523f783cd4faa40a908c090e3e9"),
+    (("eigenfunction", "--family", "vo-", "--m", "2", "--q", "3",
+      "--construct", "theta1-elliptic", "--out", "f.json"),
+     "69d0ad7e1716c5c474d37b651d54b3069b28f8201659065ef869200f3e330d21",
+     "11c671bc21563ffaae28ac04606c9e508b54d5fe4c1ff15caac5ac73b5809651"),
+    (("eigenfunction", "--family", "u", "--n", "2", "--q", "4",
+      "--construct", "theta2-unitary", "--out", "f.json"),
+     "815221550c2f042d29f3d0bd62268a4f176be19c881f797554426a7ebd48d6d3",
+     "6848b5cdd418d504ad5185125fdcaabb73a911e82b0eb9bda266f6526ce07de7"),
+    (("build", "--family", "sp", "--n", "2", "--q", "3",
+      "--format", "graph6", "--out", "g.g6"),
+     "2e1e0ed52b6b23c4681dbc2134307c4a82d9b1b82b9923bcbc671874ef924d04",
+     "69605e69a911cec0014cb8d45b298e9a59f5657d4f7561ba3bf2ea11ee14c69b"),
+    (("enumerate", "--family", "sp", "--n", "2", "--q", "2", "--out", "c.jsonl"),
+     "5a4f6081c0f18a7dd6f6429faad6bc9f72dbbd9b37c982cbaa757faa89b81ee8",
+     "c1180e606cb599da4c5ef45683ef718cd1513c97b9f748298ff340bb836244e7"),
+    (("count-check", "--family", "sp", "--n", "2", "--q", "3"),
+     "46f62876755ea270876d151f87a97b8a2b43c29df6e39c5fe3c82225974fbbc5", None),
+]
+
+
+@pytest.mark.parametrize("args,stdout_sha,out_sha", GOLDEN,
+                         ids=[" ".join(g[0][:7]) for g in GOLDEN])
+def test_cli_outputs_match_recorded_digests(args, stdout_sha, out_sha, tmp_path,
+                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)  # --out is relative, so stdout names no tmp path
+    result = run(*args)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == stdout_sha
+    if out_sha is not None:
+        written = (tmp_path / args[args.index("--out") + 1]).read_bytes()
+        assert hashlib.sha256(written).hexdigest() == out_sha

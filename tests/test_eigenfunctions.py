@@ -1,17 +1,18 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polareig import eigenfunctions as ef
-from polareig import graphs, linalg, serialize
+from polareig import forms, graphs, linalg, polarspace, serialize
 from polareig.eigenfunctions import (
     Eigenfunction, NotAnEigenfunction, NotDelsarte, NotInSigmaL,
     NotMaxIntersection, NotNonPrincipal, TInAffM, TNotInPerp, ZeroFunction,
     theta1_elliptic, theta1_from_clique_pair, theta1_hyperbolic, theta1_polar,
     theta2_unitary, verify_eigenfunction, wdb,
 )
-from polareig.gf import norm_one_subgroup, primitive_element
+from polareig.gf import field_new, norm_one_subgroup, primitive_element
 
 
 def test_wdb_examples(sp42, u44, vo_minus_2):
@@ -79,6 +80,30 @@ def test_theta1_polar_witness_validation(sp42):
         theta1_polar(sp42, L, sigma[0], outside)
     with pytest.raises(NotInSigmaL):
         theta1_polar(sp42, L, sigma[0], sigma[0])
+
+
+@pytest.mark.parametrize("build,construct,digest", [
+    (lambda: graphs.collinearity_graph(polarspace.PolarSpace(
+        forms.standard_form("sp", 6, field_new(2, 1)))), theta1_polar,
+     "bc31ca9d34d7b5f983ac223d0f61bb28999053d05702e879b4f4b5d2eddd6dfc"),
+    (lambda: graphs.unitary_graph(field_new(2, 2)), theta1_polar,
+     "c9870a1dda479790e909ff67002450ac8212ce52abcf451980f1ae27d5897088"),
+    (lambda: graphs.affine_polar_graph(2, 1, field_new(3, 1)), theta1_hyperbolic,
+     "51dfe727959d44590cf43743eec4963bd86f8523f783cd4faa40a908c090e3e9"),
+], ids=["sp:3:2", "u:2:4", "vo+:2:3"])
+def test_constructions_list_no_top_level(build, construct, digest, monkeypatch):
+    # the maximals through L are grown from L; the digests are those of the
+    # files written when the constructions still filtered the listed top level
+    listed = polarspace.PolarSpace.subspaces
+
+    def guarded(space, d):
+        if d >= space.rank() - 1:
+            raise AssertionError(f"level {d} of rank {space.rank()} was listed")
+        return listed(space, d)
+
+    monkeypatch.setattr(polarspace.PolarSpace, "subspaces", guarded)
+    text = serialize.eigenfunction_json(construct(build()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("fixture,support,theta", [

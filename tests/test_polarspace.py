@@ -1,6 +1,4 @@
-import bisect
 import itertools
-import json
 from fractions import Fraction
 from math import isqrt
 
@@ -205,6 +203,21 @@ def test_span_closure_rejects_non_collinear_points():
         space.span_closure(pts[i], pts[j])
 
 
+@pytest.mark.parametrize("family,dim,p,k", [
+    ("sp", 4, 3, 1), ("o", 5, 3, 1), ("o+", 6, 2, 1), ("o-", 6, 2, 1), ("u", 4, 2, 2),
+])
+def test_maximals_containing_equals_the_filtered_top_level(family, dim, p, k):
+    space = polarspace.PolarSpace(forms.standard_form(family, dim, field_new(p, k)))
+    maximals = space.maximals()
+    for d in range(space.rank() - 1):
+        for L in space.subspaces(d):
+            expected = [M for M in maximals
+                        if M.point_bits & L.point_bits == L.point_bits]
+            assert [(M.key, M.point_bits) for M in space.maximals_containing(L)] \
+                == [(M.key, M.point_bits) for M in expected]
+    assert all(space.maximals_containing(M) == [] for M in maximals)
+
+
 def test_maximals_containing_rejects_non_singular_basis():
     space = make_space("o+", 4, 2)
     ctx = space.ctx
@@ -285,67 +298,6 @@ def test_enumeration_is_deterministic():
     assert [s.key for s in a.subspaces(1)] == [s.key for s in b.subspaces(1)]
 
 
-def test_disk_cache_round_trip(tmp_path):
-    form = forms.standard_form("sp", 4, field_new(3, 1))
-    first = polarspace.PolarSpace(form, cache_dir=tmp_path)
-    lines = [s.key for s in first.subspaces(1)]
-    files = sorted(f.name for f in tmp_path.iterdir())
-    assert files, "cache files should have been written"
-    payload = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
-    second = polarspace.PolarSpace(form, cache_dir=tmp_path)
-    second._extend_level = None  # a valid cache is read, never enumerated
-    assert [s.key for s in second.subspaces(1)] == lines
-    # a rewrite from the cached load must not change a byte
-    third = polarspace.PolarSpace(form, cache_dir=tmp_path)
-    third.subspaces(1)
-    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == payload
-
-
-def test_cache_header_mismatch_triggers_recompute(tmp_path):
-    form = forms.standard_form("sp", 4, field_new(2, 1))
-    space = polarspace.PolarSpace(form, cache_dir=tmp_path)
-    space.subspaces(1)
-    target = next(f for f in tmp_path.iterdir() if "lvl1" in f.name)
-    target.write_text('{"family":"sp","stale":true}\n[[0,0,0,0]]\n')
-    fresh = polarspace.PolarSpace(form, cache_dir=tmp_path)
-    assert len(fresh.subspaces(1)) == 15
-
-
-@pytest.mark.parametrize("level,damage", [
-    (1, "truncate"), (0, "delete"), (1, "delete"), (1, "duplicate"),
-    (1, "empty"), (1, "not singular"),
-])
-def test_damaged_cache_file_is_a_miss(tmp_path, level, damage):
-    form = forms.standard_form("sp", 4, field_new(3, 1))
-    space = polarspace.PolarSpace(form, cache_dir=tmp_path)
-    keys = [[s.key for s in space.subspaces(d)] for d in (0, 1)]
-    payload = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
-    target = next(f for f in tmp_path.iterdir() if f"lvl{level}" in f.name)
-    text = target.read_text()
-    header, *lines = text.splitlines(keepends=True)
-    if damage == "truncate":  # cut the last line in half
-        lines[-1] = lines[-1][:len(lines[-1]) // 2]
-    elif damage == "delete":
-        del lines[2]
-    elif damage == "duplicate":  # the right number of lines, one of them twice
-        lines[2] = lines[1]
-    elif damage == "empty":  # no rows: sorts first, but spans nothing
-        lines[0] = "[]\n"
-    else:  # a line that is not totally isotropic, swapped in where it sorts
-        collin = space.collinearity_bits()
-        pts = [pt.key() for pt in space.points()]
-        a, b = next((a, b) for a, b in itertools.combinations(range(len(pts)), 2)
-                    if not collin[a] >> b & 1)
-        rows = linalg.rref_i(space.ctx, [pts[a], pts[b]])
-        i = min(bisect.bisect(keys[1], sum(rows, ())), len(lines) - 1)
-        lines[i] = json.dumps([list(r) for r in rows]) + "\n"
-    target.write_text(header + "".join(lines))
-    fresh = polarspace.PolarSpace(form, cache_dir=tmp_path)
-    assert [[s.key for s in fresh.subspaces(d)] for d in (0, 1)] == keys
-    # the damaged file is enumerated again and rewritten
-    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == payload
-
-
 def _naive_extension(space, prev):
     """Keys of the next level: one element-level rref per (subspace,
     collinear point), as the enumeration ran before it struck spans."""
@@ -401,14 +353,3 @@ def test_levels_match_naive_extension_and_closed_form(family, dim, p, k, e):
         assert polarspace.singular_subspace_count(
             family, dim, space.ctx.q, d + 1) == len(level)
 
-
-def test_cache_rows_are_recanonicalised(tmp_path):
-    form = forms.standard_form("sp", 4, field_new(3, 1))
-    lines = [s.key for s in polarspace.PolarSpace(form, cache_dir=tmp_path).subspaces(1)]
-    target = next(f for f in tmp_path.iterdir() if "lvl1" in f.name)
-    header, *entries = target.read_text().splitlines()
-    # reversed rows are a basis of the same line, but not its reduced form
-    target.write_text("\n".join([header] + [
-        json.dumps(json.loads(line)[::-1]) for line in entries]) + "\n")
-    reread = polarspace.PolarSpace(form, cache_dir=tmp_path).subspaces(1)
-    assert [s.key for s in reread] == lines
