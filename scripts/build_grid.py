@@ -3,6 +3,10 @@
 
 Covers every family at the sizes used by the acceptance suite; rank-1
 elliptic spaces are reported as the clean builder error they raise.
+Each instance's build time and strong-regularity check time go to stderr,
+so stdout stays the same from run to run:
+
+    PYTHONPATH=src python scripts/build_grid.py
 """
 
 import json
@@ -26,11 +30,17 @@ def main():
         n = size if family not in ("vo+", "vo-") else None
         m = size if family in ("vo+", "vo-") else None
         label = f"{family}:{size}:{q}"
+        built = time.perf_counter()
         try:
             g = cli.build_graph(family, q, n, m)
         except cli.ConfigError as exc:
             print(f"{label:12s} builder error (expected for rank < 2): {exc}")
             continue
+        checked = time.perf_counter()
+        g.srg_params()  # build_summary reads the parameters cached here
+        done = time.perf_counter()
+        print(f"{label:12s} build {checked - built:.3f}s srg_check {done - checked:.3f}s",
+              file=sys.stderr)
         summary = cli.build_summary(g)
         print(f"{label:12s} {json.dumps(summary, sort_keys=True)}")
     print(f"total {time.time() - start:.1f}s", file=sys.stderr)

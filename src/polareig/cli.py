@@ -295,6 +295,8 @@ def count_check(family, q, n, m, cap):
 @_cache_dir_option(False)
 def verify(graph_spec, function_path, theta, cap):
     """Re-check a stored eigenfunction against a freshly built graph."""
+    if theta is None and serialize.is_csv(function_path):
+        raise SystemExit(_fail(2, "CSV eigenfunction files need --theta"))
     try:
         family, size, q, n, m = parse_graph_spec(graph_spec)
     except ConfigError as exc:

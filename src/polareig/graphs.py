@@ -3,8 +3,9 @@
 Three builders: collinearity graphs of rank >= 2 polar spaces, affine polar
 graphs on the full vector space (x ~ y iff Q(x - y) = 0), and the rank-2
 hermitian graph on the isotropic points of GF(q)^4 for square q.
-Adjacency is a dense bitset row per vertex, so common-neighbour counting is
-a word-parallel AND plus popcount.
+Adjacency is a dense bitset row per vertex.  The strongly regular check
+counts the common neighbours of one vertex with every other at once, with
+the bit-sliced counter ``polarspace.counter_planes``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import isqrt
 
 from . import forms, polarspace
 from .gf import FieldContext
-from .polarspace import PolarSpace, bit_indices
+from .polarspace import PolarSpace, bit_indices, counter_planes, counts_differ
 
 
 class GraphError(Exception):
@@ -231,7 +232,10 @@ def srg_check(g: PolarGraph) -> SrgParams:
     """Exhaustively verify strong regularity; returns the parameter tuple.
 
     Checks every vertex pair; raises NotRegular / NotStronglyRegular /
-    Imprimitive (disconnected graph or complement).
+    Imprimitive (disconnected graph or complement).  Row i of A^2 is the
+    bit-sliced count |N(i) ∩ N(j)| for every j at once; lambda and mu are
+    the counts of vertex 0 with its least neighbour and least non-neighbour,
+    and a failure names the least offending pair (i, j).
     """
     n, adj = g.n, g.adj
     if n == 0:
@@ -246,25 +250,29 @@ def srg_check(g: PolarGraph) -> SrgParams:
     comp = [full ^ adj[i] ^ (1 << i) for i in range(n)]
     if not _connected(comp, n):
         raise Imprimitive("complement is disconnected")
-    lam = mu = None
-    for i in range(n):
-        row = adj[i]
-        for j in range(i + 1, n):
-            c = (row & adj[j]).bit_count()
-            if row >> j & 1:
-                if lam is None:
-                    lam = c
-                elif c != lam:
-                    raise NotStronglyRegular(
-                        f"adjacent pair ({i},{j}) has {c} common neighbours, not {lam}")
-            else:
-                if mu is None:
-                    mu = c
-                elif c != mu:
-                    raise NotStronglyRegular(
-                        f"non-adjacent pair ({i},{j}) has {c} common neighbours, not {mu}")
-    if lam is None or mu is None:
+    if not adj[0] or not comp[0]:
         raise Imprimitive("graph or complement is complete")
+    # the first adjacent and non-adjacent pairs: vertex 0 with its least
+    # neighbour and its least non-neighbour
+    lam = (adj[0] & adj[(adj[0] & -adj[0]).bit_length() - 1]).bit_count()
+    mu = (adj[0] & adj[(comp[0] & -comp[0]).bit_length() - 1]).bit_count()
+    # counters holding lam (mu) at every vertex; -1 is the all-ones plane
+    lam_planes = [-(lam >> b & 1) for b in range(lam.bit_length())]
+    mu_planes = [-(mu >> b & 1) for b in range(mu.bit_length())]
+    for i in range(n):
+        planes = counter_planes(adj, adj[i])
+        # a pair (i, j) with j < i was checked on row j, so a first failure
+        # on row i lies above i
+        bad = (counts_differ(planes, lam_planes, adj[i])
+               | counts_differ(planes, mu_planes, comp[i]))
+        if bad:
+            j = (bad & -bad).bit_length() - 1
+            c = (adj[i] & adj[j]).bit_count()
+            if adj[i] >> j & 1:
+                raise NotStronglyRegular(
+                    f"adjacent pair ({i},{j}) has {c} common neighbours, not {lam}")
+            raise NotStronglyRegular(
+                f"non-adjacent pair ({i},{j}) has {c} common neighbours, not {mu}")
     return SrgParams(n, k, lam, mu)
 
 

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from math import comb
 
 from . import forms, graphs, linalg
 from .graphs import PolarGraph
-from .polarspace import NotPairwiseCollinear, PolarSpace, bit_indices
+from .polarspace import (NotPairwiseCollinear, PolarSpace, bit_indices,
+                         counter_planes, counts_differ)
 
 
 class OracleError(Exception):
@@ -126,25 +126,6 @@ def enumerate_isolated_clique_pairs(g: PolarGraph, s: int) -> PairCatalog:
 
 # -- induced complete bipartite pairs --------------------------------------------
 
-def _counter_planes(adj, part: int) -> list[int]:
-    """Bit-sliced neighbour counts: bit u of plane i is bit i of |N(u) ∩ part|."""
-    planes = []
-    for v in bit_indices(part):
-        carry = adj[v]
-        for i, plane in enumerate(planes):
-            planes[i], carry = plane ^ carry, plane & carry
-        if carry:
-            planes.append(carry)
-    return planes
-
-
-def _same_counts(planes_a, planes_b, mask: int) -> bool:
-    """Whether two bit-sliced counters agree on every vertex of mask; the
-    shorter plane list reads as zero above its top plane."""
-    return not any((x ^ y) & mask
-                   for x, y in zip_longest(planes_a, planes_b, fillvalue=0))
-
-
 def enumerate_bipartite_pairs(g: PolarGraph, s: int) -> PairCatalog:
     """Every induced K_{s,s}, classified by the outside-regularity property.
 
@@ -165,9 +146,9 @@ def enumerate_bipartite_pairs(g: PolarGraph, s: int) -> PairCatalog:
         # above its least vertex, where the whole partner lies
         if size == s:
             members = bit_indices(a)  # the key's first part: a's lead is below all of b
-            planes_a = _counter_planes(adj, a)
+            planes_a = counter_planes(adj, a)
             for b in graphs.cliques_within(comp_adj, cn, s):
-                regular = _same_counts(planes_a, _counter_planes(adj, b), full ^ a ^ b)
+                regular = not counts_differ(planes_a, counter_planes(adj, b), full ^ a ^ b)
                 found.append(((members, bit_indices(b)), regular))
             return
         if cand.bit_count() < s - size:

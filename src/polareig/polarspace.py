@@ -4,8 +4,9 @@ Enumeration is breadth-first closure: start from the singular projective
 points, extend every d-dimensional singular subspace by every point
 collinear with all of it, canonicalise to reduced row-echelon form, and
 deduplicate.  A span is totally singular exactly when its basis vectors are
-singular and pairwise orthogonal, so collinearity reduces to one pairing
-test per point pair; those tests are cached as bitsets and shared with the
+singular and pairwise orthogonal, so collinearity is orthogonality of point
+pairs.  It is computed a row at a time with bitset operations
+(``collinearity_bits``), cached as bitsets and shared with the
 collinearity-graph builder.
 
 The enumeration runs on element-index tuples (``linalg.rref_i``).  Once
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import product, zip_longest
 from math import isqrt
 
 from . import forms, linalg
@@ -208,29 +209,62 @@ class PolarSpace:
         return self._points[index]
 
     def collinearity_bits(self) -> list[int]:
-        """bitset per point: indices of the distinct points collinear with it."""
+        """bitset per point: indices of the distinct points collinear with it.
+
+        The form is reflexive, so row i is the set of points j with
+        keys[j] . t = 0, where t = kernel_row_i(keys[i]).  Split the
+        coordinates into halves A and B and write t_A = s_A u_A with u_A
+        normalised (first nonzero entry 1, or u_A = 0).  For every
+        normalised u of each half, the points are sorted once into q
+        bitsets by the value of keys[j]_A . u.  Then keys[j] . t is
+        s_A a + s_B b, which is 0 exactly when b = -(s_A / s_B) a, so a
+        row is an OR of q ANDs, not a loop over point pairs.
+        """
         if self._collinearity is None:
             self.points()
             keys = self._point_keys
-            n = len(keys)
-            rows = [0] * n
-            # B(u, w) = u . kernel_row_i(w): one row per point, then the pair
-            # scan is a short dot product over u's support
-            transformed = [forms.kernel_row_i(self.form, w) for w in keys]
-            supports = [[(l, v) for l, v in enumerate(w) if v] for w in keys]
-            add_t, mul_t, _, _ = self.ctx.tables()
-            for i in range(n):
-                sup = supports[i]
-                for j in range(i + 1, n):
-                    t = transformed[j]
-                    acc = 0
-                    for l, v in sup:
-                        tv = t[l]
-                        if tv:
-                            acc = add_t[acc][mul_t[v][tv]]
-                    if acc == 0:
-                        rows[i] |= 1 << j
-                        rows[j] |= 1 << i
+            q = self.ctx.q
+            add, mul, neg, inv = self.ctx.tables()
+            # by_value[l][a]: the points whose coordinate l is a
+            by_value = [[0] * q for _ in range(self.dim)]
+            for j, key in enumerate(keys):
+                for classes, a in zip(by_value, key):
+                    classes[a] |= 1 << j
+
+            def sorted_by_value(coords):
+                # normalised u -> the points by the value of keys[j]_coords . u
+                table = {(): [(1 << len(keys)) - 1] + [0] * (q - 1)}
+                for classes in coords:
+                    grown = {}
+                    for u, by_sum in table.items():
+                        # a zero prefix stays normalised only when followed by 0 or 1
+                        for c in range(q) if any(u) else (0, 1):
+                            out = [0] * q
+                            for s, points in enumerate(by_sum):
+                                if points:
+                                    for a, cls in enumerate(classes):
+                                        out[add[s][mul[c][a]]] |= points & cls
+                            grown[u + (c,)] = out
+                    table = grown
+                return table
+
+            def normalised(u):
+                s = next((a for a in u if a), 1)
+                return tuple(mul[inv[s]][a] for a in u), s
+
+            half = self.dim // 2
+            table_a = sorted_by_value(by_value[:half])
+            table_b = sorted_by_value(by_value[half:])
+            rows = []
+            for i, key in enumerate(keys):
+                t = forms.kernel_row_i(self.form, key)
+                (u_a, s_a), (u_b, s_b) = normalised(t[:half]), normalised(t[half:])
+                by_a, by_b = table_a[u_a], table_b[u_b]
+                cancel = mul[mul[neg[s_a]][inv[s_b]]]
+                row = 0
+                for a, cls in enumerate(by_a):
+                    row |= cls & by_b[cancel[a]]
+                rows.append(row & ~(1 << i))
             self._collinearity = rows
         return self._collinearity
 
@@ -428,6 +462,49 @@ def bit_indices(bits: int) -> tuple[int, ...]:
         out.append(lsb.bit_length() - 1)
         bits ^= lsb
     return tuple(out)
+
+
+def counter_planes(adj, part: int) -> list[int]:
+    """Bit-sliced neighbour counts: bit u of plane i is bit i of |N(u) ∩ part|.
+
+    Carry-save: each weight 2^b holds a plane and at most one input waiting
+    for a partner (0 when none; a zero input adds nothing).  The next input
+    goes through one full adder (3 -> 2) with the waiting one and the plane,
+    and its carry moves up to weight 2^(b+1).  Weight 2^b sees at most
+    |part| / 2^b inputs, so |part|.bit_length() planes hold every count.  A
+    ripple at the end folds the waiting inputs in.
+    """
+    size = part.bit_count().bit_length()
+    planes = [0] * size
+    waiting = [0] * size
+    for v in bit_indices(part):
+        x = adj[v]
+        b = 0
+        while waiting[b]:
+            y = waiting[b]
+            waiting[b] = 0
+            a = planes[b]
+            t = a ^ y
+            planes[b] = t ^ x
+            x = (a & y) | (t & x)
+            b += 1
+        waiting[b] = x
+    carry = 0
+    for b, y in enumerate(waiting):
+        a = planes[b]
+        t = a ^ y
+        planes[b] = t ^ carry
+        carry = (a & y) | (t & carry)
+    return planes
+
+
+def counts_differ(planes_a, planes_b, mask: int) -> int:
+    """The vertices of mask on which two bit-sliced counters disagree; the
+    shorter plane list reads as zero above its top plane."""
+    diff = 0
+    for x, y in zip_longest(planes_a, planes_b, fillvalue=0):
+        diff |= x ^ y
+    return diff & mask
 
 
 @lru_cache(maxsize=None)

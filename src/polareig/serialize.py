@@ -141,10 +141,15 @@ def eigenfunction_from_csv(text: str) -> Eigenfunction:
     return Eigenfunction(values, 0, {})
 
 
+def is_csv(path) -> bool:
+    """Whether an eigenfunction file is read as CSV, which carries no theta."""
+    return str(path).endswith(".csv")
+
+
 def load_eigenfunction(path) -> Eigenfunction:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if str(path).endswith(".csv"):
+    if is_csv(path):
         return eigenfunction_from_csv(text)
     return eigenfunction_from_json(text)
 

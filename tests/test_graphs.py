@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     _reference_independent_sets, make_collinearity, pentagon, reference_cliques,
 )
-from polareig import forms, graphs, linalg
+from polareig import cli, forms, graphs, linalg
 from polareig.gf import field_new
 from polareig.graphs import (
     CliqueInfo, FewerThanTwoCliques, Imprimitive, IrrationalEigenvalues,
@@ -16,7 +18,7 @@ from polareig.graphs import (
     graph_from_edges, max_intersecting_delsarte_pair, maximal_cliques,
     spectrum, srg_check,
 )
-from polareig.polarspace import bit_indices
+from polareig.polarspace import bit_indices, counter_planes
 
 
 def test_srg_examples(sp42, rook_o42, u44):
@@ -43,6 +45,134 @@ def test_srg_check_rejections():
     c6 = graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
     with pytest.raises(NotStronglyRegular):
         srg_check(c6)
+
+
+def _reference_srg_check(g):
+    """srg_check as the pair loop it replaced: every pair i < j, in order."""
+    n, adj = g.n, g.adj
+    if n == 0:
+        raise graphs.GraphError("empty graph")
+    k = adj[0].bit_count()
+    for i in range(1, n):
+        if adj[i].bit_count() != k:
+            raise NotRegular(f"vertex {i} has degree {adj[i].bit_count()} != {k}")
+    if not graphs._connected(adj, n):
+        raise Imprimitive("graph is disconnected")
+    full = (1 << n) - 1
+    comp = [full ^ adj[i] ^ (1 << i) for i in range(n)]
+    if not graphs._connected(comp, n):
+        raise Imprimitive("complement is disconnected")
+    lam = mu = None
+    for i in range(n):
+        row = adj[i]
+        for j in range(i + 1, n):
+            c = (row & adj[j]).bit_count()
+            if row >> j & 1:
+                if lam is None:
+                    lam = c
+                elif c != lam:
+                    raise NotStronglyRegular(
+                        f"adjacent pair ({i},{j}) has {c} common neighbours, not {lam}")
+            else:
+                if mu is None:
+                    mu = c
+                elif c != mu:
+                    raise NotStronglyRegular(
+                        f"non-adjacent pair ({i},{j}) has {c} common neighbours, not {mu}")
+    if lam is None or mu is None:
+        raise Imprimitive("graph or complement is complete")
+    return SrgParams(n, k, lam, mu)
+
+
+def _outcome(check, g):
+    """The parameters, or the class and message of the error raised."""
+    try:
+        return check(g)
+    except graphs.GraphError as exc:
+        return type(exc), str(exc)
+
+
+def _grid_instances():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "build_grid.py"
+    spec = importlib.util.spec_from_file_location("build_grid", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # rank-1 elliptic spaces are a builder error, not a graph
+    return [entry for entry in module.GRID if entry[:2] != ("o-", 1)]
+
+
+@pytest.mark.parametrize("family,size,q", _grid_instances(),
+                         ids=lambda entry: str(entry))
+def test_srg_check_equals_the_pair_loop_on_the_grid(family, size, q):
+    affine = family.startswith("vo")
+    g = cli.build_graph(family, q, None if affine else size, size if affine else None)
+    assert srg_check(g) == _reference_srg_check(g)
+
+
+def _cube():
+    return graph_from_edges(8, [(a, a ^ 1 << b) for a in range(8) for b in range(3)
+                                if a < a ^ 1 << b])
+
+
+def _switched(g, e, f):
+    """g with the edges e = (a, b) and f = (c, d) replaced by (a, c) and
+    (b, d), a 2-switch that keeps the degrees; None when it is not one."""
+    (a, b), (c, d) = e, f
+    if len({a, b, c, d}) < 4 or g.are_adjacent(a, c) or g.are_adjacent(b, d):
+        return None
+    edges = set(g.edges()) - {e, f} | {tuple(sorted(x)) for x in ((a, c), (b, d))}
+    return graph_from_edges(g.n, edges)
+
+
+def _first_switch(g):
+    return next(s for e, f in itertools.combinations(sorted(g.edges()), 2)
+                if (s := _switched(g, e, f)) is not None)
+
+
+@pytest.mark.parametrize("g", [
+    graph_from_edges(0, []),
+    graph_from_edges(1, []),
+    graph_from_edges(2, [(0, 1)]),
+    graph_from_edges(5, itertools.combinations(range(5), 2)),
+    graph_from_edges(3, [(0, 1), (1, 2)]),
+    graph_from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+    graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)]),
+    graph_from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)]),
+    _cube(),
+    _first_switch(make_collinearity("sp", 4, 2)),
+    # regular, with its first failure on an adjacent pair
+    graph_from_edges(7, [(i, (i + s) % 7) for i in range(7) for s in (1, 2)]),
+], ids=["empty", "K1", "K2", "K5", "path", "two-triangles", "C6", "K33", "cube",
+        "switched-sp42", "circulant-7-12"])
+def test_srg_check_equals_the_pair_loop_on_crafted_graphs(g):
+    assert _outcome(srg_check, g) == _outcome(_reference_srg_check, g)
+
+
+@st.composite
+def small_graphs(draw):
+    """Random graphs, circulants (regular, often not strongly regular) and
+    relabelled strongly regular graphs after one 2-switch."""
+    kind = draw(st.sampled_from(("random", "circulant", "switched")))
+    if kind == "random":
+        return draw(graphs_with_pool())[0]
+    if kind == "circulant":
+        n = draw(st.integers(1, 24))
+        jumps = draw(st.sets(st.integers(1, max(1, n // 2))))
+        return graph_from_edges(n, {tuple(sorted((i, (i + s) % n)))
+                                    for i in range(n) for s in jumps if s % n})
+    base = draw(st.sampled_from((pentagon(), make_collinearity("sp", 4, 2),
+                                 make_collinearity("o+", 4, 3))))
+    perm = draw(st.permutations(range(base.n)))
+    g = graph_from_edges(base.n, [(perm[i], perm[j]) for i, j in base.edges()])
+    e, f = draw(st.lists(st.sampled_from(sorted(g.edges())), min_size=2, max_size=2,
+                         unique=True))
+    return _switched(g, e, f) or g
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(g=small_graphs())
+def test_srg_check_equals_the_pair_loop_on_random_graphs(g):
+    assert _outcome(srg_check, g) == _outcome(_reference_srg_check, g)
 
 
 def test_rank_too_low():
@@ -153,6 +283,22 @@ def test_cliques_within_lists_the_cliques_inside_the_pool(case):
     assert tuples == sorted(tuples)
     # as in reference_cliques, no clique is listed for s < 1
     assert got == (_reference_independent_sets(g.adj, pool, s) if s else [])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=graphs_with_pool())
+def test_counter_planes_count_the_neighbours_in_part(case):
+    g, part, _ = case
+    planes = counter_planes(g.adj, part)
+    for u in range(g.n):
+        count = sum((plane >> u & 1) << b for b, plane in enumerate(planes))
+        assert count == (g.adj[u] & part).bit_count()
+
+
+def test_counter_planes_on_an_empty_part_and_one_vertex():
+    assert counter_planes([0b110, 0b101, 0b011], 0) == []
+    assert counter_planes([0], 0) == []
+    assert not any(counter_planes([0], 1))
 
 
 def test_max_intersecting_pair_examples(sp42, rook_o42, vo_plus_2, u44, sp43,

@@ -11,6 +11,7 @@ from polareig.oracle import (
     WitnessNotFound, check_characterisation, count_comparison,
     enumerate_bipartite_pairs, enumerate_isolated_clique_pairs,
 )
+from polareig.polarspace import counts_differ
 
 
 def test_path_graph_has_no_isolated_edge_pairs():
@@ -234,9 +235,9 @@ def test_isolated_catalog_matches_reference_on_random_graphs(case):
 def test_counter_comparison_pads_the_shorter_plane_list():
     # counts 1, 3, 0 on vertices 0, 1, 2 against 1, 1, 0
     three = [0b011, 0b010]
-    assert oracle._same_counts(three, [0b011], 0b101)
-    assert not oracle._same_counts(three, [0b011], 0b111)
-    assert not oracle._same_counts([0b011], three, 0b010)
+    assert not counts_differ(three, [0b011], 0b101)
+    assert counts_differ(three, [0b011], 0b111) == 0b010
+    assert counts_differ([0b011], three, 0b010) == 0b010
 
 
 @pytest.mark.parametrize("fixture,count", [("u44", 120), ("u49", 2835)])

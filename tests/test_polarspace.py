@@ -173,6 +173,34 @@ def test_difference_pairs_need_next_to_maximal_dimension():
         space.difference_pairs(space.subspaces(0)[0])
 
 
+def _reference_collinearity(space):
+    """The pair loop: points i and j are collinear when B(keys[i], keys[j]) = 0."""
+    keys = [pt.key() for pt in space.points()]
+    rows = [0] * len(keys)
+    for i, j in itertools.combinations(range(len(keys)), 2):
+        if forms.bilinear_i(space.form, keys[i], keys[j]) == 0:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return rows
+
+
+@pytest.mark.parametrize("family,dim,p,k", [
+    ("sp", 4, 2, 1),   # sp:2:2
+    ("sp", 4, 2, 2),   # sp:2:4
+    ("sp", 4, 2, 3),   # sp:2:8
+    ("sp", 6, 3, 1),   # sp:3:3
+    ("o+", 4, 3, 1),   # o+:2:3
+    ("o", 7, 3, 1),    # o:3:3
+    ("o-", 6, 2, 2),   # o-:2:4
+    ("u", 4, 2, 2),    # u:2:4
+    ("u", 4, 3, 2),    # u:2:9
+    ("u", 6, 2, 2),    # u:3:4
+])
+def test_collinearity_bits_equal_the_pairing_on_every_pair(family, dim, p, k):
+    space = polarspace.PolarSpace(forms.standard_form(family, dim, field_new(p, k)))
+    assert space.collinearity_bits() == _reference_collinearity(space)
+
+
 def test_span_closure_single_point():
     space = make_space("sp", 4, 2)
     p0 = space.points()[0]
