@@ -230,9 +230,7 @@ def _construct(g: graphs.PolarGraph, name: str) -> ef.Eigenfunction:
     # theta1-cliquepair: the canonical optimal pair for the family
     fam = g.provenance.get("family")
     if fam == "vo-":
-        base = ef.theta1_elliptic(g)
-        t0 = [v for v, c in base.values.items() if c > 0]
-        t1 = [v for v, c in base.values.items() if c < 0]
+        t0, t1 = ef.unitary_pair_parts(ef.theta1_elliptic(g))
         return ef.theta1_from_clique_pair(g, t0, t1)
     c0, c1 = graphs.max_intersecting_delsarte_pair(g)
     return ef.theta1_from_clique_pair(g, c0, c1)
@@ -288,7 +286,9 @@ def count_check(family, q, n, m, cap):
 @click.option("--graph", "graph_spec", required=True,
               help="family:n:q, e.g. sp:2:2")
 @click.option("--function", "function_path", required=True,
-              type=click.Path(exists=False, dir_okay=False))
+              type=click.Path(exists=False, dir_okay=False),
+              help="JSON or CSV eigenfunction; a CSV file has no graph "
+                   "provenance, so it is checked against --graph as given")
 @click.option("--theta", type=int, default=None,
               help="eigenvalue override (needed for CSV files)")
 @click.option("--cap", type=int, default=VERTEX_CAP, show_default=True)

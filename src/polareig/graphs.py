@@ -246,8 +246,7 @@ def srg_check(g: PolarGraph) -> SrgParams:
             raise NotRegular(f"vertex {i} has degree {adj[i].bit_count()} != {k}")
     if not _connected(adj, n):
         raise Imprimitive("graph is disconnected")
-    full = (1 << n) - 1
-    comp = [full ^ adj[i] ^ (1 << i) for i in range(n)]
+    comp = complement(adj)
     if not _connected(comp, n):
         raise Imprimitive("complement is disconnected")
     if not adj[0] or not comp[0]:
@@ -302,38 +301,67 @@ def delsarte_bound(params: SrgParams, spec: SpectrumInfo) -> Fraction:
     return 1 + Fraction(params.k, -spec.theta2)
 
 
-def cliques_within(adj: list[int], pool: int, s: int):
+def complement(adj: list[int]) -> list[int]:
+    """Neighbour bitsets of the complement graph."""
+    full = (1 << len(adj)) - 1
+    return [full ^ row ^ (1 << i) for i, row in enumerate(adj)]
+
+
+def cliques_within(adj: list[int], pool: int, s: int, keep: list[int] | None = None):
     """Bitsets of all s-cliques inside the vertex bitset pool, generated one
     at a time in increasing vertex-tuple order ({0,5} before {1,2}).
 
     adj[v] is the neighbour bitset of v; only its bits above v are read, and
     it may reach outside pool, since each clique's vertices are drawn from
     pool alone.  Nothing is generated when s < 1.
+
+    With a per-vertex mask list keep, a clique carries kept: the vertices
+    above its least vertex that lie in keep[v] for every member v, the pool
+    of a partner s-set.  kept only shrinks as the clique grows, so a branch
+    is dropped once kept holds fewer than s vertices, and (clique, kept) is
+    generated for every clique that keeps at least s.  keep must be
+    symmetric (u in keep[v] exactly when v in keep[u]), as an adjacency or
+    its complement is: once kept holds exactly s vertices, the later
+    members are drawn from keep[u] for every u in kept.
     """
-    if s < 1:
+    tries = pool.bit_count() - s + 1
+    if s < 1 or tries < 1:
         return
-    # depth-first over the cliques' sorted vertex tuples; rests[i] holds the
-    # vertices above the last one chosen that extend the first i chosen
-    bits = [0] * s
-    rests = [0] * s
-    rests[0] = pool
-    depth = 0
-    while depth >= 0:
-        rest = rests[depth]
-        if depth + rest.bit_count() < s:
-            depth -= 1
-            continue
-        lsb = rest & -rest
-        rest ^= lsb
-        rests[depth] = rest
-        if depth + 1 == s:
-            yield bits[depth] | lsb
-            continue
-        nxt = rest & adj[lsb.bit_length() - 1]
-        if depth + 1 + nxt.bit_count() >= s:
-            depth += 1
-            bits[depth] = bits[depth - 1] | lsb
-            rests[depth] = nxt
+    # depth-first over the cliques' sorted vertex tuples.  At depth d the
+    # first d members are chosen: rest holds the vertices above the last one
+    # that extend them, kept their mask, and tries the pops left in rest
+    # that still leave the s - d - 1 vertices the clique needs after them
+    bits, rest, kept, mask, spare = 0, pool, -1, -1, 1  # without keep: kept -1, spare 1
+    stack, last, depth = [], s - 1, 0
+    while True:
+        while tries:
+            tries -= 1
+            lsb = rest & -rest
+            rest ^= lsb
+            v = lsb.bit_length() - 1
+            if keep is not None:
+                # above the least member: the bits from lsb << 1 up
+                mask = keep[v] & (kept if depth else -(lsb << 1))
+                spare = mask.bit_count() - s
+                if spare < 0:
+                    continue
+            if depth == last:
+                yield bits | lsb if keep is None else (bits | lsb, mask)
+                continue
+            nxt = rest & adj[v]
+            if not spare:
+                # mask must stay whole: by symmetry, later members lie in every keep[u]
+                for u in bit_indices(mask):
+                    nxt &= keep[u]
+            more = nxt.bit_count() + depth + 2 - s
+            if more > 0:
+                stack.append((bits, rest, kept, tries))
+                bits, rest, kept, tries = bits | lsb, nxt, mask, more
+                depth += 1
+        if not depth:
+            return
+        depth -= 1
+        bits, rest, kept, tries = stack.pop()
 
 
 def cliques_of_size(g: PolarGraph, s: int) -> list[int]:

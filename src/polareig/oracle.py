@@ -3,14 +3,14 @@
 Everything here is exhaustive enumeration at desk scale: catalogues of
 isolated clique pairs and induced complete bipartite pairs, witness
 decompositions for every catalogued pair, and cross-checks of the closed
-counting formulas against the enumerated counts.  Both pair scans grow a
-part's partners inside the set where they may lie, with
-`graphs.cliques_within`.  An isolated clique's partners are cliques off the
-clique and its neighbourhood, above its least vertex.  The bipartite search
-grows each first part from its least vertex and carries the part's common
-neighbourhood above that vertex; the partners are the independent s-sets
-there (cliques of the complement).  The neighbourhood only shrinks as the
-part grows, so a branch is pruned once it holds fewer than s vertices.
+counting formulas against the enumerated counts.  Both pair scans run one
+loop, `graphs.cliques_within` given a keep mask: each first part grows from
+its least vertex and carries, above that vertex, the pool where its
+partners may lie, and a branch is dropped once the pool holds fewer than s
+vertices.  An isolated clique keeps the vertices off it and its
+neighbourhood (keep is the complement) and its partners are cliques; an
+independent first part of a K_{s,s} keeps its common neighbours (keep is
+the adjacency) and its partners are independent sets.
 Outside-regularity compares bit-sliced neighbour counts of the two parts.
 Where a printed formula and the enumeration disagree, the enumeration is
 authoritative and the disagreement is reported as data.
@@ -101,30 +101,22 @@ class CountComparison:
         }
 
 
-# -- isolated clique pairs -----------------------------------------------------
+# -- the pair scans --------------------------------------------------------------
 
 def enumerate_isolated_clique_pairs(g: PolarGraph, s: int) -> PairCatalog:
     """Every unordered pair of s-cliques with no vertices or edges in common."""
     if s < 1:
         raise OracleError("s must be >= 1")
-    full = (1 << g.n) - 1
+    adj = g.adj
     pairs = []
-    for ci in graphs.cliques_of_size(g, s):
-        forbidden = ci
-        for v in bit_indices(ci):
-            forbidden |= g.adj[v]
-        # partners lie off the clique and its neighbourhood, and above its
-        # least vertex so that each pair is found once, as (t0, t1) with t0 < t1
-        low = (ci & -ci).bit_length()
-        allowed = (full >> low << low) & ~forbidden
+    # partners lie off the clique and its neighbourhood, above its least vertex
+    for ci, allowed in graphs.cliques_within(adj, (1 << g.n) - 1, s,
+                                             graphs.complement(adj)):
         t0 = bit_indices(ci)
         pairs.extend((t0, bit_indices(cj))
-                     for cj in graphs.cliques_within(g.adj, allowed, s))
-    pairs.sort()
+                     for cj in graphs.cliques_within(adj, allowed, s))
     return PairCatalog("isolated_cliques", s, tuple(pairs), None)
 
-
-# -- induced complete bipartite pairs --------------------------------------------
 
 def enumerate_bipartite_pairs(g: PolarGraph, s: int) -> PairCatalog:
     """Every induced K_{s,s}, classified by the outside-regularity property.
@@ -135,40 +127,19 @@ def enumerate_bipartite_pairs(g: PolarGraph, s: int) -> PairCatalog:
     """
     if s < 1:
         raise OracleError("s must be >= 1")
-    n = g.n
     adj = g.adj
-    full = (1 << n) - 1
-    comp_adj = [full ^ adj[i] ^ (1 << i) for i in range(n)]
-    found = []
-
-    def grow(a, size, cand, cn):
-        # cand: later vertices independent of a; cn: a's common neighbours
-        # above its least vertex, where the whole partner lies
-        if size == s:
-            members = bit_indices(a)  # the key's first part: a's lead is below all of b
-            planes_a = counter_planes(adj, a)
-            for b in graphs.cliques_within(comp_adj, cn, s):
-                regular = not counts_differ(planes_a, counter_planes(adj, b), full ^ a ^ b)
-                found.append(((members, bit_indices(b)), regular))
-            return
-        if cand.bit_count() < s - size:
-            return
-        while cand:
-            lsb = cand & -cand
-            cand ^= lsb
-            v = lsb.bit_length() - 1
-            narrowed = cn & adj[v]
-            if narrowed.bit_count() >= s:
-                grow(a | lsb, size + 1, cand & comp_adj[v], narrowed)
-
-    for lead in range(n):
-        above = full >> (lead + 1) << (lead + 1)
-        cn = adj[lead] & above
-        if cn.bit_count() >= s:
-            grow(1 << lead, 1, comp_adj[lead] & above, cn)
-    found.sort()  # keys are distinct, so the flags are never compared
-    return PairCatalog("complete_bipartite", s, tuple(key for key, _ in found),
-                       tuple(regular for _, regular in found))
+    full = (1 << g.n) - 1
+    comp_adj = graphs.complement(adj)
+    pairs, regular = [], []
+    # the whole partner lies in the first part's common neighbours above its lead
+    for a, common in graphs.cliques_within(comp_adj, full, s, adj):
+        t0 = bit_indices(a)
+        planes_a = counter_planes(adj, a)
+        for b in graphs.cliques_within(comp_adj, common, s):
+            pairs.append((t0, bit_indices(b)))
+            regular.append(
+                not counts_differ(planes_a, counter_planes(adj, b), full ^ a ^ b))
+    return PairCatalog("complete_bipartite", s, tuple(pairs), tuple(regular))
 
 
 # -- witness decompositions ---------------------------------------------------

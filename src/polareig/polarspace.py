@@ -165,6 +165,7 @@ class PolarSpace:
         self._point_lookup: dict[tuple[int, ...], int] = {}
         self._collinearity: list[int] | None = None
         self._levels: dict[int, list[SingularSubspace]] = {}
+        self._descriptor: PolarSpaceDescriptor | None = None
 
     # -- points ---------------------------------------------------------------
 
@@ -356,6 +357,9 @@ class PolarSpace:
     # -- order, descriptor -------------------------------------------------------
 
     def descriptor(self) -> PolarSpaceDescriptor:
+        """Rank and order, checked against the enumerated levels once per space."""
+        if self._descriptor is not None:
+            return self._descriptor
         n = self.rank()
         ctx = self.ctx
         if (n >= 1 and not self.subspaces(n - 1)) or self.subspaces(n):
@@ -384,7 +388,7 @@ class PolarSpace:
             if t != expected:
                 raise OrderNotWellDefined(
                     f"computed t = {t} but the {self.family} family requires {expected}")
-        return PolarSpaceDescriptor(
+        self._descriptor = PolarSpaceDescriptor(
             family=self.family,
             q=ctx.q,
             rank=n,
@@ -393,6 +397,7 @@ class PolarSpace:
             point_count=self.point_count(),
             maximal_count=len(self.maximals()),
         )
+        return self._descriptor
 
     # -- the building blocks of the optimal eigenfunctions -------------------------
 
@@ -447,11 +452,6 @@ class PolarSpace:
             raise PolarSpaceError("span of nothing")
         return self._singular_span(
             rows, NotPairwiseCollinear("the span is not totally singular"))
-
-    def subspace_for_basis(self, rows) -> SingularSubspace:
-        return self._singular_span(
-            [linalg.vec_key(r) for r in rows],
-            NotSingular("basis does not span a totally singular subspace"))
 
 
 def bit_indices(bits: int) -> tuple[int, ...]:

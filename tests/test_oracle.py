@@ -11,7 +11,7 @@ from polareig.oracle import (
     WitnessNotFound, check_characterisation, count_comparison,
     enumerate_bipartite_pairs, enumerate_isolated_clique_pairs,
 )
-from polareig.polarspace import counts_differ
+from polareig.polarspace import bit_indices, counts_differ
 
 
 def test_path_graph_has_no_isolated_edge_pairs():
@@ -230,6 +230,45 @@ def test_bipartite_catalog_matches_reference_on_random_graphs(case):
 def test_isolated_catalog_matches_reference_on_random_graphs(case):
     g, s = case
     assert list(enumerate_isolated_clique_pairs(g, s).pairs) == reference_isolated_pairs(g, s)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(joined=st.booleans(), data=st.data())
+def test_kept_masks_match_the_brute_force_masks_on_random_graphs(joined, data):
+    """With keep, cliques_within yields the plain cliques whose brute-force
+    mask keeps at least s vertices, in the same order and with that mask:
+    on the (adj, keep) pair of the scan the planted pair serves, and on a
+    random symmetric keep, the adjacency of a second random graph."""
+    g, s = data.draw(graphs_with_part_size(joined=joined))
+    full = (1 << g.n) - 1
+    comp = graphs.complement(g.adj)
+    adj, scan_keep = (comp, g.adj) if joined else (g.adj, comp)
+    pool = data.draw(st.one_of(st.just(full), st.integers(0, full)))
+    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+    flags = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    random_keep = graph_from_edges(g.n, [p for p, f in zip(pairs, flags) if f]).adj
+    for keep in (scan_keep, random_keep):
+        expected = []
+        for c in graphs.cliques_within(adj, pool, s):
+            low = (c & -c).bit_length()  # one past the least member
+            kept = full >> low << low
+            for v in bit_indices(c):
+                kept &= keep[v]
+            if kept.bit_count() >= s:
+                expected.append((c, kept))
+        assert list(graphs.cliques_within(adj, pool, s, keep)) == expected
+
+
+@pytest.mark.parametrize("family,size,q,count", [
+    ("o+", 3, 3, 520), ("o-", 3, 2, 10710), ("vo+", 2, 4, 1600),
+])
+def test_isolated_pair_counts_where_the_partner_pool_prunes(family, size, q, count):
+    # most cliques here keep fewer than s vertices off their neighbourhood,
+    # so the scan drops them before they are complete
+    affine = family.startswith("vo")
+    g = build_graph(family, q, None if affine else size, size if affine else None)
+    s = graphs.spectrum(g.srg_params()).theta1 + 1
+    assert len(enumerate_isolated_clique_pairs(g, s)) == count
 
 
 def test_counter_comparison_pads_the_shorter_plane_list():

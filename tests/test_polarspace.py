@@ -95,6 +95,18 @@ def test_descriptor_checks_the_rank_against_enumeration(shift, monkeypatch):
         space.descriptor()
 
 
+def test_descriptor_is_computed_once_per_space(monkeypatch):
+    space = polarspace.PolarSpace(forms.standard_form("sp", 4, field_new(3, 1)))
+    first = space.descriptor()
+
+    def no_listing(self, d):
+        raise AssertionError(f"level {d} listed again")
+
+    monkeypatch.setattr(polarspace.PolarSpace, "subspaces", no_listing)
+    monkeypatch.setattr(polarspace.PolarSpace, "_extend_level", no_listing)
+    assert space.descriptor() is first
+
+
 @pytest.mark.parametrize("level", [0, 1])
 def test_a_level_of_the_wrong_size_is_rejected(level, monkeypatch):
     space = polarspace.PolarSpace(forms.standard_form("sp", 4, field_new(3, 1)))

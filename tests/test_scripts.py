@@ -1,0 +1,14 @@
+import hashlib
+import runpy
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# sha256 of the survey's stdout: every pair count, printed and derived value
+COUNT_SURVEY_SHA = "b25919702ea704d4a9331242bbc7c6afbd5f374bdc836e52d40c1a6ca42ae051"
+
+
+def test_count_survey_stdout_matches_its_recorded_digest(capsys):
+    runpy.run_path(str(SCRIPTS / "count_survey.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == COUNT_SURVEY_SHA
