@@ -184,13 +184,15 @@ def theta1_polar(g: PolarGraph, L: SingularSubspace | None = None,
     """+1 on M minus L, -1 on N minus L, for maximals M, N over an (n-2)-space L.
 
     A tight eigenfunction for the positive non-principal eigenvalue
-    q^(n-1) - 1 of the collinearity graph; support 2 q^(n-1).
+    q^(n-1) - 1 of the collinearity graph; support 2 q^(n-1).  L defaults
+    to the least-key (n-2)-space, found without listing its level, and M, N
+    to the first two maximals through L.
     """
     _require_kind(g, ("collinearity", "unitary"), "theta1_polar")
     space = g.space
     n = space.rank()
     if L is None:
-        L = space.subspaces(n - 2)[0]
+        L = space.least_subspace(n - 2)
     if L.proj_dim != n - 2:
         raise WrongDimension(f"L must have projective dimension {n - 2}")
     M, N = _check_sigma_pair(space, L, M, N)
@@ -242,13 +244,15 @@ def theta1_hyperbolic(g: PolarGraph, v=None, L: SingularSubspace | None = None,
     """The translated difference pair in a hyperbolic affine polar graph.
 
     +1 on v + the vector lift of M minus L (origin removed), -1 on the same
-    for N; theta1 = q^m - q^(m-1) - 1, support 2 (q^m - q^(m-1)).
+    for N; theta1 = q^m - q^(m-1) - 1, support 2 (q^m - q^(m-1)).  L
+    defaults to the least-key (m-2)-space, found without listing its level,
+    and M, N to the first two maximals through L.
     """
     space, ctx, m = _affine_context(g, "vo+", "theta1_hyperbolic")
     if m < 2:
         raise WrongDimension("needs m >= 2")
     if L is None:
-        L = space.subspaces(m - 2)[0]
+        L = space.least_subspace(m - 2)
     if L.proj_dim != m - 2:
         raise WrongDimension(f"L must have projective dimension {m - 2}")
     M, N = _check_sigma_pair(space, L, M, N)
@@ -280,11 +284,13 @@ def theta1_elliptic(g: PolarGraph, v=None, M: SingularSubspace | None = None,
     """A maximal-clique coset and its perp translate in an elliptic affine graph.
 
     +1 on v + Aff(M), -1 on t + v + Aff(M) with t in Aff(M)-perp outside
-    Aff(M); theta1 = q^(m-1) - 1, support 2 q^(m-1).
+    Aff(M); theta1 = q^(m-1) - 1, support 2 q^(m-1).  M defaults to the
+    least-key maximal, found without listing the top level, and t to
+    ``least_perp_translation``.
     """
     space, ctx, m = _affine_context(g, "vo-", "theta1_elliptic")
     if M is None:
-        M = space.maximals()[0]
+        M = space.least_subspace(space.rank() - 1)
     if M.proj_dim != space.rank() - 1:
         raise EigenfunctionError("M must be a maximal singular subspace")
     if t is None:

@@ -19,10 +19,10 @@ The rank n is the Witt index of the form (``witt_index``), so building a
 graph enumerates no subspace level.  Every freshly enumerated level is
 checked to hold exactly N_k = ``singular_subspace_count`` members, and
 ``descriptor()`` checks the rank against enumeration: level n-1 must be
-non-empty and level n empty.  The maximals through a subspace L are grown
-from L alone (``maximals_containing``), so the polar and hyperbolic
-constructions, which need only the t+1 maximals through one L, never list
-the top level.
+non-empty and level n empty.  The constructions list no level: the
+least-key subspace of a dimension is found by a depth-first search over
+point keys (``least_subspace``), and the maximals through a subspace L are
+grown from L alone (``maximals_containing``).
 
 All output lists are sorted by the canonical subspace key, making every
 downstream computation reproducible.
@@ -346,6 +346,60 @@ class PolarSpace:
                 cand &= ~bits
         return [self._subspace(k, seen[k]) for k in sorted(seen)]
 
+    def least_subspace(self, d: int) -> SingularSubspace:
+        """``subspaces(d)[0]``, the totally singular subspace of projective
+        dimension d with the least key, found without listing any level.
+
+        The reduced-echelon rows of a subspace are point keys whose pivots
+        increase, each zero at the other rows' pivots, and totally singular
+        means pairwise collinear.  Point keys are sorted, so a depth-first
+        search that tries each row's candidates in index order meets the
+        least flat key first.
+        """
+        n = self.rank()
+        if d < 0 or d >= n:
+            raise DimensionOutOfRange(
+                f"projective dimension {d} out of range for rank {n}")
+        collin = self.collinearity_bits()
+        keys, dim = self._point_keys, self.dim
+        pivots = [next(c for c, a in enumerate(key) if a) for key in keys]
+        pivot_at, zero_at = [0] * dim, [0] * dim
+        for i, key in enumerate(keys):
+            pivot_at[pivots[i]] |= 1 << i
+            for c, a in enumerate(key):
+                if not a:
+                    zero_at[c] |= 1 << i
+
+        def grow(rows, cand):
+            if len(rows) == d + 1:
+                return rows
+            # pivots above the last row's, leaving room for the rows still to come
+            first = pivots[rows[-1]] + 1 if rows else 0
+            allowed = 0
+            for c in range(first, dim - d + len(rows)):
+                if not any(keys[i][c] for i in rows):
+                    allowed |= pivot_at[c]
+            for i in rows:
+                allowed &= zero_at[pivots[i]]
+            allowed &= cand
+            while allowed:
+                low = allowed & -allowed
+                p = low.bit_length() - 1
+                found = grow(rows + [p], cand & collin[p])
+                if found:
+                    return found
+                allowed ^= low
+            return None
+
+        found = grow([], -1)
+        if found is None:
+            raise LevelCountMismatch(f"no subspace of projective dimension {d} found "
+                                     f"below the rank {n}")
+        basis = tuple(keys[i] for i in found)
+        if not forms.totally_singular_i(self.form, basis):
+            raise NotSingular(f"the rows {basis} do not span a totally singular subspace")
+        return self._subspace(sum(basis, ()), self._span_point_bits(basis))
+
     def rank(self) -> int:
         """Rank n, the Witt index: maximal singular subspaces have projective
         dimension n-1."""
@@ -373,11 +427,7 @@ class PolarSpace:
         else:
             # t+1 counted over the enumerated top level: a check of the
             # enumeration, which maximals_containing does not read
-            maximals = self.maximals()
-            counts = {
-                sum(M.point_bits & L.point_bits == L.point_bits for M in maximals)
-                for L in self.subspaces(n - 2)
-            }
+            counts = set(containing_counts(self.subspaces(n - 2), self.maximals()))
             if len(counts) != 1:
                 raise OrderNotWellDefined(f"t+1 takes several values: {sorted(counts)}")
             t = counts.pop() - 1
@@ -462,6 +512,25 @@ def bit_indices(bits: int) -> tuple[int, ...]:
         out.append(lsb.bit_length() - 1)
         bits ^= lsb
     return tuple(out)
+
+
+def containing_counts(subs, maximals) -> list[int]:
+    """For each subspace of subs, the number of maximals containing it.
+
+    through[p] is the bitset of the maximals through point p; a maximal
+    contains a subspace exactly when it contains all of its points.
+    """
+    through: dict[int, int] = {}
+    for j, M in enumerate(maximals):
+        for p in bit_indices(M.point_bits):
+            through[p] = through.get(p, 0) | 1 << j
+    counts = []
+    for L in subs:
+        common = -1
+        for p in bit_indices(L.point_bits):
+            common &= through.get(p, 0)
+        counts.append(common.bit_count())
+    return counts
 
 
 def counter_planes(adj, part: int) -> list[int]:

@@ -90,16 +90,17 @@ def test_theta1_polar_witness_validation(sp42):
      "c9870a1dda479790e909ff67002450ac8212ce52abcf451980f1ae27d5897088"),
     (lambda: graphs.affine_polar_graph(2, 1, field_new(3, 1)), theta1_hyperbolic,
      "51dfe727959d44590cf43743eec4963bd86f8523f783cd4faa40a908c090e3e9"),
-], ids=["sp:3:2", "u:2:4", "vo+:2:3"])
+    (lambda: graphs.affine_polar_graph(2, -1, field_new(2, 1)), theta1_elliptic,
+     "fe2387cba95491f6b75be2b2fefb3c008a50875d778120126211aa6807afa962"),
+    (lambda: graphs.affine_polar_graph(2, -1, field_new(3, 1)), theta1_elliptic,
+     "11c671bc21563ffaae28ac04606c9e508b54d5fe4c1ff15caac5ac73b5809651"),
+], ids=["sp:3:2", "u:2:4", "vo+:2:3", "vo-:2:2", "vo-:2:3"])
 def test_constructions_list_no_top_level(build, construct, digest, monkeypatch):
-    # the maximals through L are grown from L; the digests are those of the
-    # files written when the constructions still filtered the listed top level
-    listed = polarspace.PolarSpace.subspaces
-
+    # L (or M) is the least-key subspace, found without listing its level,
+    # and the maximals through L are grown from L; the digests are those of
+    # the files written when the constructions still listed levels
     def guarded(space, d):
-        if d >= space.rank() - 1:
-            raise AssertionError(f"level {d} of rank {space.rank()} was listed")
-        return listed(space, d)
+        raise AssertionError(f"level {d} of rank {space.rank()} was listed")
 
     monkeypatch.setattr(polarspace.PolarSpace, "subspaces", guarded)
     text = serialize.eigenfunction_json(construct(build()))

@@ -107,6 +107,68 @@ def test_descriptor_is_computed_once_per_space(monkeypatch):
     assert space.descriptor() is first
 
 
+@pytest.mark.parametrize("family,dim,p,k", [
+    ("sp", 6, 2, 1), ("sp", 6, 3, 1), ("o+", 6, 3, 1), ("u", 6, 2, 2),
+], ids=["sp:3:2", "sp:3:3", "o+:3:3", "u:3:4"])
+def test_containing_counts_equal_the_pair_comparison(family, dim, p, k):
+    space = make_space(family, dim, p, k)
+    subs, maximals = space.subspaces(space.rank() - 2), space.maximals()
+    reference = [sum(M.point_bits & L.point_bits == L.point_bits for M in maximals)
+                 for L in subs]
+    assert polarspace.containing_counts(subs, maximals) == reference
+
+
+def test_descriptor_rejects_a_lost_maximal(monkeypatch):
+    space = polarspace.PolarSpace(forms.standard_form("sp", 6, field_new(2, 1)))
+    monkeypatch.setattr(polarspace.PolarSpace, "maximals",
+                        lambda self: self.subspaces(self.rank() - 1)[:-1])
+    with pytest.raises(OrderNotWellDefined, match="t\\+1 takes several values: \\[2, 3\\]"):
+        space.descriptor()
+
+
+# the spaces whose every level lists in a few seconds at most
+SMALL_SPACES = {
+    "sp:2:2": ("sp", 4, 2, 1), "sp:2:3": ("sp", 4, 3, 1), "sp:3:2": ("sp", 6, 2, 1),
+    "sp:3:3": ("sp", 6, 3, 1), "sp:3:4": ("sp", 6, 2, 2), "sp:4:2": ("sp", 8, 2, 1),
+    "o+:3:2": ("o+", 6, 2, 1), "o+:3:3": ("o+", 6, 3, 1), "o+:4:2": ("o+", 8, 2, 1),
+    "o:3:3": ("o", 7, 3, 1), "o-:2:2": ("o-", 6, 2, 1), "o-:3:2": ("o-", 8, 2, 1),
+    "u:2:4": ("u", 4, 2, 2), "u:3:4": ("u", 6, 2, 2),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(SMALL_SPACES))
+def test_least_subspace_is_the_first_of_its_level(spec):
+    space = make_space(*SMALL_SPACES[spec])
+    n = space.rank()
+    for d in range(n):
+        least, first = space.least_subspace(d), space.subspaces(d)[0]
+        assert (least.key, least.point_bits, least.basis, least.proj_dim) \
+            == (first.key, first.point_bits, first.basis, first.proj_dim)
+    for d in (-1, n):
+        with pytest.raises(DimensionOutOfRange):
+            space.least_subspace(d)
+
+
+def test_least_subspace_lists_no_level(monkeypatch):
+    space = polarspace.PolarSpace(forms.standard_form("sp", 8, field_new(3, 1)))
+
+    def no_listing(self, *args):
+        raise AssertionError("a level was listed")
+
+    monkeypatch.setattr(polarspace.PolarSpace, "subspaces", no_listing)
+    monkeypatch.setattr(polarspace.PolarSpace, "_extend_level", no_listing)
+    assert space.least_subspace(2).proj_dim == 2
+
+
+def test_least_subspace_of_an_empty_search_is_rejected(monkeypatch):
+    space = polarspace.PolarSpace(forms.standard_form("sp", 6, field_new(2, 1)))
+    monkeypatch.setattr(polarspace.PolarSpace, "collinearity_bits",
+                        lambda self: [0] * self.point_count())
+    assert space.least_subspace(0).proj_dim == 0
+    with pytest.raises(LevelCountMismatch):
+        space.least_subspace(1)
+
+
 @pytest.mark.parametrize("level", [0, 1])
 def test_a_level_of_the_wrong_size_is_rejected(level, monkeypatch):
     space = polarspace.PolarSpace(forms.standard_form("sp", 4, field_new(3, 1)))
