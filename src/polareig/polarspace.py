@@ -1,28 +1,23 @@
 """Embedded polar spaces: points, singular subspaces, rank and order.
 
-Enumeration is breadth-first closure: start from the singular projective
-points, extend every d-dimensional singular subspace by every point
-collinear with all of it, canonicalise to reduced row-echelon form, and
-deduplicate.  A span is totally singular exactly when its basis vectors are
-singular and pairwise orthogonal, so collinearity is orthogonality of point
-pairs.  It is computed a row at a time with bitset operations
-(``collinearity_bits``), cached as bitsets and shared with the
-collinearity-graph builder.
+A span is totally singular exactly when its basis vectors are singular and
+pairwise orthogonal, so collinearity is orthogonality of point pairs.  It
+is computed a row at a time with bitset operations (``collinearity_bits``),
+cached as bitsets and shared with the collinearity-graph builder.
 
-The enumeration runs on element-index tuples (``linalg.rref_i``).  Once
-<S, p> is found, every point of it outside S spans the same extension of
-S, so all of them are struck from S's candidates: each extension of S is
-reduced once, and the points of each distinct span are listed once.
+One depth-first search over reduced-echelon bases (``_bases``) answers
+every question about singular subspaces, and yields each subspace once and
+in key order, with no row reduction, deduplication or sort.  A level is
+everything it yields (``subspaces``), the least-key subspace its first
+answer (``least_subspace``), and the maximals through L its answers inside
+L^perp (``maximals_containing``), so the constructions list no level.
 Field elements appear only in the public ``basis`` of a subspace.
 
 The rank n is the Witt index of the form (``witt_index``), so building a
-graph enumerates no subspace level.  Every freshly enumerated level is
-checked to hold exactly N_k = ``singular_subspace_count`` members, and
+graph enumerates no subspace level.  Every enumerated level is checked to
+hold exactly N_k = ``singular_subspace_count`` members, and
 ``descriptor()`` checks the rank against enumeration: level n-1 must be
-non-empty and level n empty.  The constructions list no level: the
-least-key subspace of a dimension is found by a depth-first search over
-point keys (``least_subspace``), and the maximals through a subspace L are
-grown from L alone (``maximals_containing``).
+non-empty and level n empty.
 
 All output lists are sorted by the canonical subspace key, making every
 downstream computation reproducible.
@@ -193,8 +188,11 @@ class PolarSpace:
 
     def point_index(self, key: tuple[int, ...]) -> int | None:
         """Index of the point spanned by a nonzero vector of element indices,
-        or None when that point is not singular."""
+        or None when that point is not singular; ValueError for a zero
+        vector or one of the wrong length."""
         self.points()
+        if len(key) != self.dim or not any(key):
+            raise ValueError(f"{key} is not a nonzero vector of length {self.dim}")
         ctx = self.ctx
         scale = ctx.tables()[1][ctx.inv_i(next(a for a in key if a))]
         return self._point_lookup.get(tuple(scale[a] for a in key))
@@ -202,8 +200,6 @@ class PolarSpace:
     def point_for_vector(self, v) -> ProjectivePoint:
         """The point spanned by a nonzero singular vector."""
         key = linalg.vec_key(v)
-        if not any(key):
-            raise ValueError("zero vector has no projective representative")
         index = self.point_index(key)
         if index is None:
             raise NotSingular(f"{key} is not a singular point of {self.form!r}")
@@ -288,11 +284,10 @@ class PolarSpace:
                 bits |= 1 << lookup[v]
         return bits
 
-    def _subspace(self, key: tuple[int, ...], point_bits: int) -> SingularSubspace:
-        d = self.dim
-        rows = [key[i:i + d] for i in range(0, len(key), d)]
-        return SingularSubspace(linalg.element_rows(self.ctx, rows), key,
-                                point_bits, len(rows) - 1)
+    def _subspace(self, basis) -> SingularSubspace:
+        """The subspace whose reduced-echelon rows of element indices are basis."""
+        return SingularSubspace(linalg.element_rows(self.ctx, basis), sum(basis, ()),
+                                self._span_point_bits(basis), len(basis) - 1)
 
     def _singular_span(self, rows, error: PolarSpaceError) -> SingularSubspace:
         """The span of rows of element indices; raises error unless it is
@@ -301,7 +296,49 @@ class PolarSpace:
         if not forms.totally_singular_i(self.form, basis):
             raise error
         self.points()
-        return self._subspace(sum(basis, ()), self._span_point_bits(basis))
+        return self._subspace(basis)
+
+    def _bases(self, d: int, cand: int = -1):
+        """The reduced-echelon rows (point keys) of every totally singular
+        subspace of projective dimension d spanned by points of cand, in
+        increasing key order.
+
+        cand is -1 (every point) or the singular points of a subspace, so a
+        basis inside cand spans a subspace inside it.  The rows of a
+        reduced-echelon basis are point keys whose pivots increase, each
+        zero at the other rows' pivots, and the span is totally singular
+        exactly when they are pairwise collinear.  That form is unique, and
+        point keys are sorted, so a depth-first search that tries each row's
+        candidates in index order yields each subspace once, in key order.
+        """
+        collin = self.collinearity_bits()
+        keys, dim = self._point_keys, self.dim
+        pivots = [key.index(1) for key in keys]  # point keys lead with 1
+        pivot_at = [0] * dim
+        for i, c in enumerate(pivots):
+            pivot_at[c] |= 1 << i
+        # follow[p]: the points that may be a later row than p: collinear
+        # with p, with a later pivot at which p is zero (a later row is zero
+        # at p's pivot, as at every column before its own pivot; the pivot
+        # classes are disjoint, so their sum is their union)
+        follow = [collin[i] & sum(pivot_at[c] for c in range(pivots[i] + 1, dim)
+                                  if not key[c])
+                  for i, key in enumerate(keys)]
+        # room[r]: the points whose pivot leaves room for the rows after row r
+        room = [sum(pivot_at[:dim - d + r]) for r in range(d + 1)]
+
+        def grow(rows, cand):
+            allowed = cand & room[len(rows)]
+            while allowed:
+                low = allowed & -allowed
+                p = low.bit_length() - 1
+                if len(rows) == d:
+                    yield rows + (keys[p],)
+                else:
+                    yield from grow(rows + (keys[p],), cand & follow[p])
+                allowed ^= low
+
+        return grow((), cand)
 
     def subspaces(self, d: int) -> list[SingularSubspace]:
         """All totally singular subspaces of projective dimension d, sorted."""
@@ -309,42 +346,13 @@ class PolarSpace:
             raise DimensionOutOfRange(f"projective dimension {d} out of range")
         if d in self._levels:
             return self._levels[d]
-        if d == 0:
-            # each point key is already reduced, and the keys are sorted
-            self.points()
-            level = [self._subspace(key, 1 << i)
-                     for i, key in enumerate(self._point_keys)]
-        else:
-            level = self._extend_level(self.subspaces(d - 1))
+        level = [self._subspace(basis) for basis in self._bases(d)]
         expected = singular_subspace_count(self.family, self.dim, self.ctx.q, d + 1)
         if len(level) != expected:
             raise LevelCountMismatch(
                 f"level {d} holds {len(level)} subspaces, but N_{d + 1} = {expected}")
         self._levels[d] = level
         return level
-
-    def _extend_level(self, prev: list[SingularSubspace]) -> list[SingularSubspace]:
-        ctx, d = self.ctx, self.dim
-        collin = self.collinearity_bits()
-        reps = self._point_keys
-        # flat key -> point bits of every extension found so far
-        seen: dict[tuple[int, ...], int] = {}
-        for sub in prev:
-            rows = tuple(sub.key[i:i + d] for i in range(0, len(sub.key), d))
-            cand = -1
-            for pi in bit_indices(sub.point_bits):
-                cand &= collin[pi]
-            cand &= ~sub.point_bits
-            while cand:
-                p = reps[(cand & -cand).bit_length() - 1]
-                basis = linalg.rref_i(ctx, rows + (p,))
-                key = sum(basis, ())
-                bits = seen.get(key)
-                if bits is None:
-                    bits = seen[key] = self._span_point_bits(basis)
-                # every point of <sub, p> outside sub spans the same extension
-                cand &= ~bits
-        return [self._subspace(k, seen[k]) for k in sorted(seen)]
 
     def least_subspace(self, d: int) -> SingularSubspace:
         """``subspaces(d)[0]``, the totally singular subspace of projective
@@ -360,45 +368,13 @@ class PolarSpace:
         if d < 0 or d >= n:
             raise DimensionOutOfRange(
                 f"projective dimension {d} out of range for rank {n}")
-        collin = self.collinearity_bits()
-        keys, dim = self._point_keys, self.dim
-        pivots = [next(c for c, a in enumerate(key) if a) for key in keys]
-        pivot_at, zero_at = [0] * dim, [0] * dim
-        for i, key in enumerate(keys):
-            pivot_at[pivots[i]] |= 1 << i
-            for c, a in enumerate(key):
-                if not a:
-                    zero_at[c] |= 1 << i
-
-        def grow(rows, cand):
-            if len(rows) == d + 1:
-                return rows
-            # pivots above the last row's, leaving room for the rows still to come
-            first = pivots[rows[-1]] + 1 if rows else 0
-            allowed = 0
-            for c in range(first, dim - d + len(rows)):
-                if not any(keys[i][c] for i in rows):
-                    allowed |= pivot_at[c]
-            for i in rows:
-                allowed &= zero_at[pivots[i]]
-            allowed &= cand
-            while allowed:
-                low = allowed & -allowed
-                p = low.bit_length() - 1
-                found = grow(rows + [p], cand & collin[p])
-                if found:
-                    return found
-                allowed ^= low
-            return None
-
-        found = grow([], -1)
-        if found is None:
+        basis = next(self._bases(d), None)
+        if basis is None:
             raise LevelCountMismatch(f"no subspace of projective dimension {d} found "
                                      f"below the rank {n}")
-        basis = tuple(keys[i] for i in found)
         if not forms.totally_singular_i(self.form, basis):
             raise NotSingular(f"the rows {basis} do not span a totally singular subspace")
-        return self._subspace(sum(basis, ()), self._span_point_bits(basis))
+        return self._subspace(basis)
 
     def rank(self) -> int:
         """Rank n, the Witt index: maximal singular subspaces have projective
@@ -454,17 +430,20 @@ class PolarSpace:
     def maximals_containing(self, L: SingularSubspace) -> list[SingularSubspace]:
         """All maximal singular subspaces strictly containing L, sorted.
 
-        They are grown from L one dimension at a time, so no level of the
-        space is listed."""
+        They are the maximals inside L^perp, whose singular points are L's
+        points and the points collinear with all of L: a maximal M inside
+        L^perp contains L, or <M, L> would be a larger singular subspace.
+        So no level of the space is listed."""
         if not forms.totally_singular_i(self.form, L.rows()):
             raise NotSingular("L is not totally singular")
         n = self.rank()
         if L.proj_dim >= n - 1:
             return []
-        grown = [L]
-        for _ in range(L.proj_dim, n - 1):
-            grown = self._extend_level(grown)
-        return grown
+        collin = self.collinearity_bits()
+        perp = -1
+        for p in L.point_indices():
+            perp &= collin[p]
+        return [self._subspace(basis) for basis in self._bases(n - 1, perp | L.point_bits)]
 
     def difference_pairs(self, L: SingularSubspace):
         """Unordered pairs {M minus L, N minus L} over distinct maximals through L.
@@ -506,6 +485,8 @@ class PolarSpace:
 
 def bit_indices(bits: int) -> tuple[int, ...]:
     """Indices of the set bits of a bitset, in increasing order."""
+    if bits < 0:
+        raise ValueError(f"a bitset is a non-negative int, not {bits}")
     out = []
     while bits:
         lsb = bits & -bits

@@ -24,6 +24,21 @@ def test_point_counts(family, dim, p, k, count):
     assert make_space(family, dim, p, k).point_count() == count
 
 
+def test_bit_indices_rejects_a_negative_int():
+    assert polarspace.bit_indices(0b10110) == (1, 2, 4)
+    with pytest.raises(ValueError):
+        polarspace.bit_indices(-1)
+
+
+@pytest.mark.parametrize("key", [(0, 0, 0, 0), (1, 0, 0), (0, 0, 1, 0, 0)])
+def test_a_zero_or_misshapen_key_has_no_point(key):
+    space = make_space("sp", 4, 2)
+    with pytest.raises(ValueError):
+        space.point_index(key)
+    with pytest.raises(ValueError):
+        space.point_for_vector(tuple(space.ctx.element(a) for a in key))
+
+
 def test_every_symplectic_point_is_singular():
     space = make_space("sp", 4, 2)
     assert space.point_count() == (2 ** 4 - 1) // (2 - 1)
@@ -103,8 +118,20 @@ def test_descriptor_is_computed_once_per_space(monkeypatch):
         raise AssertionError(f"level {d} listed again")
 
     monkeypatch.setattr(polarspace.PolarSpace, "subspaces", no_listing)
-    monkeypatch.setattr(polarspace.PolarSpace, "_extend_level", no_listing)
     assert space.descriptor() is first
+
+
+def test_descriptor_lists_only_the_levels_it_checks(monkeypatch):
+    space = polarspace.PolarSpace(forms.standard_form("sp", 6, field_new(2, 1)))
+    listing, asked = polarspace.PolarSpace.subspaces, []
+
+    def recorded(self, d):
+        asked.append(d)
+        return listing(self, d)
+
+    monkeypatch.setattr(polarspace.PolarSpace, "subspaces", recorded)
+    space.descriptor()
+    assert set(asked) == {1, 2, 3}
 
 
 @pytest.mark.parametrize("family,dim,p,k", [
@@ -156,7 +183,6 @@ def test_least_subspace_lists_no_level(monkeypatch):
         raise AssertionError("a level was listed")
 
     monkeypatch.setattr(polarspace.PolarSpace, "subspaces", no_listing)
-    monkeypatch.setattr(polarspace.PolarSpace, "_extend_level", no_listing)
     assert space.least_subspace(2).proj_dim == 2
 
 
@@ -176,15 +202,15 @@ def test_a_level_of_the_wrong_size_is_rejected(level, monkeypatch):
     monkeypatch.setattr(polarspace, "singular_subspace_count",
                         lambda f, dim, q, k: count(f, dim, q, k) + (k == level + 1))
     with pytest.raises(LevelCountMismatch):
-        space.subspaces(1)
+        space.subspaces(level)
 
 
 def test_an_enumeration_that_loses_a_subspace_is_rejected(monkeypatch):
-    extend = polarspace.PolarSpace._extend_level
-    monkeypatch.setattr(polarspace.PolarSpace, "_extend_level",
-                        lambda self, prev: extend(self, prev)[:-1])
     space = polarspace.PolarSpace(forms.standard_form("o+", 6, field_new(2, 1)))
     assert len(space.subspaces(0)) == 35
+    search = polarspace.PolarSpace._bases
+    monkeypatch.setattr(polarspace.PolarSpace, "_bases",
+                        lambda self, d, cand=-1: list(search(self, d, cand))[:-1])
     with pytest.raises(LevelCountMismatch):
         space.subspaces(1)
 
@@ -442,6 +468,9 @@ def _closed_form_count(n, k, q, e):
     ("o+", 6, 2, 1, Fraction(0)),   # o+:3:2
     ("o-", 6, 2, 1, Fraction(2)),   # o-:2:2
     ("u", 4, 2, 2, Fraction(1, 2)),  # u:2:4
+    ("sp", 6, 2, 1, Fraction(1)),   # sp:3:2
+    ("o+", 6, 3, 1, Fraction(0)),   # o+:3:3
+    ("o-", 8, 2, 1, Fraction(2)),   # o-:3:2
 ])
 def test_levels_match_naive_extension_and_closed_form(family, dim, p, k, e):
     space = polarspace.PolarSpace(forms.standard_form(family, dim, field_new(p, k)))
