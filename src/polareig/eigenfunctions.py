@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import forms, graphs, linalg
-from .gf import norm_minus_one_unit, norm_one_subgroup
+from .gf import FieldElement, norm_minus_one_unit, norm_one_subgroup
 from .graphs import CliqueInfo, PolarGraph, SrgParams, delsarte_bound
 from .polarspace import SingularSubspace, WrongDimension, bit_indices
 
@@ -157,13 +157,28 @@ def verify_eigenfunction(g: PolarGraph, f: Eigenfunction,
 
 # -- construction helpers -------------------------------------------------------
 
+def _pair_function(g: PolarGraph, plus, minus, theta: int) -> Eigenfunction:
+    """+1 on the vertices plus, -1 on the vertices minus (written last)."""
+    values = dict.fromkeys(plus, Fraction(1))
+    values.update(dict.fromkeys(minus, Fraction(-1)))
+    return Eigenfunction(values, theta, dict(g.provenance))
+
+
 def _require_kind(g: PolarGraph, kinds, what: str):
     kind = g.provenance.get("kind")
     if kind not in kinds:
         raise EigenfunctionError(f"{what} needs a {'/'.join(kinds)} graph, got {kind}")
 
 
-def _check_sigma_pair(space, L: SingularSubspace, M, N):
+def _check_sigma_pair(space, L: SingularSubspace | None, M, N):
+    """(L, M, N): an (n-2)-space L, by default the least-key one, found
+    without listing its level, and distinct maximals M, N through it, by
+    default the first two."""
+    n = space.rank()
+    if L is None:
+        L = space.least_subspace(n - 2)
+    if L.proj_dim != n - 2:
+        raise WrongDimension(f"L must have projective dimension {n - 2}")
     sigma = space.maximals_containing(L)
     keys = {s.key for s in sigma}
     if M is None or N is None:
@@ -175,7 +190,7 @@ def _check_sigma_pair(space, L: SingularSubspace, M, N):
         raise NotInSigmaL("M and N must be distinct")
     if M.key not in keys or N.key not in keys:
         raise NotInSigmaL("M and N must be maximals strictly containing L")
-    return M, N
+    return L, M, N
 
 
 def theta1_polar(g: PolarGraph, L: SingularSubspace | None = None,
@@ -190,20 +205,10 @@ def theta1_polar(g: PolarGraph, L: SingularSubspace | None = None,
     """
     _require_kind(g, ("collinearity", "unitary"), "theta1_polar")
     space = g.space
-    n = space.rank()
-    if L is None:
-        L = space.least_subspace(n - 2)
-    if L.proj_dim != n - 2:
-        raise WrongDimension(f"L must have projective dimension {n - 2}")
-    M, N = _check_sigma_pair(space, L, M, N)
-    one = Fraction(1)
-    values: dict[int, Fraction] = {}
-    for pi in bit_indices(M.point_bits & ~L.point_bits):
-        values[pi] = one
-    for pi in bit_indices(N.point_bits & ~L.point_bits):
-        values[pi] = -one
-    theta = space.ctx.q ** (n - 1) - 1
-    return Eigenfunction(values, theta, dict(g.provenance))
+    L, M, N = _check_sigma_pair(space, L, M, N)
+    return _pair_function(g, bit_indices(M.point_bits & ~L.point_bits),
+                          bit_indices(N.point_bits & ~L.point_bits),
+                          space.ctx.q ** (space.rank() - 1) - 1)
 
 
 def _affine_context(g: PolarGraph, family: str, what: str):
@@ -212,30 +217,27 @@ def _affine_context(g: PolarGraph, family: str, what: str):
     return g.space, g.ctx, g.provenance["m"]
 
 
-def _vec_lift(space, point_bits: int, scalars) -> list[tuple[int, ...]]:
-    """Index tuples of the nonzero vectors over a set of projective points."""
-    pts = space.points()
-    mul = space.ctx.mul_i
-    out = []
-    for pi in bit_indices(point_bits):
-        rep = pts[pi].key()
-        for a in scalars:
-            out.append(tuple(mul(a, c) for c in rep))
-    return out
-
-
-def _shift_key(ctx, v_key, w_key):
-    add = ctx.add_i
-    return tuple(add(a, b) for a, b in zip(v_key, w_key))
-
-
 def _as_key(ctx, v, dim) -> tuple[int, ...]:
     if v is None:
         return (0,) * dim
-    key = tuple(a.index if hasattr(a, "index") else int(a) for a in v)
+    key = []
+    for a in v:
+        if isinstance(a, FieldElement):
+            if a.ctx != ctx:
+                raise EigenfunctionError(f"entry {a!r} is an element of {a.ctx!r}, not {ctx!r}")
+            a = a.index
+        elif a not in range(ctx.q):
+            raise EigenfunctionError(f"entry {a!r} is not an element index in range({ctx.q})")
+        key.append(int(a))
     if len(key) != dim:
         raise EigenfunctionError(f"vector of length {len(key)}, expected {dim}")
-    return key
+    return tuple(key)
+
+
+def _translate(g: PolarGraph, v: tuple[int, ...], vectors) -> list[int]:
+    """The vertices v + w of an affine polar graph, for w in vectors."""
+    add = g.ctx.add_i
+    return [g.vec_index[tuple(map(add, v, w))] for w in vectors]
 
 
 def theta1_hyperbolic(g: PolarGraph, v=None, L: SingularSubspace | None = None,
@@ -243,29 +245,23 @@ def theta1_hyperbolic(g: PolarGraph, v=None, L: SingularSubspace | None = None,
                       N: SingularSubspace | None = None) -> Eigenfunction:
     """The translated difference pair in a hyperbolic affine polar graph.
 
-    +1 on v + the vector lift of M minus L (origin removed), -1 on the same
-    for N; theta1 = q^m - q^(m-1) - 1, support 2 (q^m - q^(m-1)).  L
-    defaults to the least-key (m-2)-space, found without listing its level,
-    and M, N to the first two maximals through L.
+    +1 on v + (span(M) minus span(L)), -1 on the same for N;
+    theta1 = q^m - q^(m-1) - 1, support 2 (q^m - q^(m-1)).  L defaults to
+    the least-key (m-2)-space, found without listing its level, and M, N to
+    the first two maximals through L.
     """
     space, ctx, m = _affine_context(g, "vo+", "theta1_hyperbolic")
     if m < 2:
         raise WrongDimension("needs m >= 2")
-    if L is None:
-        L = space.least_subspace(m - 2)
-    if L.proj_dim != m - 2:
-        raise WrongDimension(f"L must have projective dimension {m - 2}")
-    M, N = _check_sigma_pair(space, L, M, N)
+    L, M, N = _check_sigma_pair(space, L, M, N)
     v_key = _as_key(ctx, v, 2 * m)
-    scalars = range(1, ctx.q)
-    values: dict[int, Fraction] = {}
-    one = Fraction(1)
-    for w in _vec_lift(space, M.point_bits & ~L.point_bits, scalars):
-        values[g.vec_index[_shift_key(ctx, v_key, w)]] = one
-    for w in _vec_lift(space, N.point_bits & ~L.point_bits, scalars):
-        values[g.vec_index[_shift_key(ctx, v_key, w)]] = -one
-    theta = ctx.q ** m - ctx.q ** (m - 1) - 1
-    return Eigenfunction(values, theta, dict(g.provenance))
+    inner = set(linalg.span_i(ctx, L.rows(), space.dim))
+
+    def lift(S: SingularSubspace) -> list[int]:
+        return _translate(g, v_key, (w for w in linalg.span_i(ctx, S.rows(), space.dim)
+                                     if w not in inner))
+
+    return _pair_function(g, lift(M), lift(N), ctx.q ** m - ctx.q ** (m - 1) - 1)
 
 
 def least_perp_translation(g: PolarGraph, M: SingularSubspace) -> tuple[int, ...]:
@@ -283,7 +279,7 @@ def theta1_elliptic(g: PolarGraph, v=None, M: SingularSubspace | None = None,
                     t=None) -> Eigenfunction:
     """A maximal-clique coset and its perp translate in an elliptic affine graph.
 
-    +1 on v + Aff(M), -1 on t + v + Aff(M) with t in Aff(M)-perp outside
+    +1 on v + Aff(M), -1 on v + t + Aff(M) with t in Aff(M)-perp outside
     Aff(M); theta1 = q^(m-1) - 1, support 2 q^(m-1).  M defaults to the
     least-key maximal, found without listing the top level, and t to
     ``least_perp_translation``.
@@ -303,32 +299,9 @@ def theta1_elliptic(g: PolarGraph, v=None, M: SingularSubspace | None = None,
         raise TInAffM("t lies inside Aff(M)")
     v_key = _as_key(ctx, v, 2 * m)
     aff = linalg.span_i(ctx, rows, space.dim)
-    one = Fraction(1)
-    values: dict[int, Fraction] = {}
-    for w in aff:
-        values[g.vec_index[_shift_key(ctx, v_key, w)]] = one
-    base = _shift_key(ctx, v_key, t_key)
-    for w in aff:
-        values[g.vec_index[_shift_key(ctx, base, w)]] = -one
-    theta = ctx.q ** (m - 1) - 1
-    return Eigenfunction(values, theta, dict(g.provenance))
-
-
-def optimal_clique_shape(g: PolarGraph) -> tuple[int, int]:
-    """(clique size, intersection size) of the optimal clique pairs of g.
-
-    Cliques of Delsarte size with the largest feasible intersection when the
-    Delsarte bound is an integer; otherwise disjoint maximum cliques of size
-    theta1 + 1 (the elliptic affine case).
-    """
-    params = g.srg_params()
-    spec = graphs.spectrum(params)
-    bound = delsarte_bound(params, spec)
-    if bound.denominator == 1:
-        size = int(bound)
-    else:
-        size = spec.theta1 + 1
-    return size, size - (spec.theta1 + 1)
+    return _pair_function(g, _translate(g, v_key, aff),
+                          _translate(g, tuple(map(ctx.add_i, v_key, t_key)), aff),
+                          ctx.q ** (m - 1) - 1)
 
 
 def theta1_from_clique_pair(g: PolarGraph, C0, C1) -> Eigenfunction:
@@ -341,15 +314,19 @@ def theta1_from_clique_pair(g: PolarGraph, C0, C1) -> Eigenfunction:
     """
     params = g.srg_params()
     spec = graphs.spectrum(params)
-    size, inter = optimal_clique_shape(g)
+    # Delsarte-size cliques with the largest feasible intersection when the
+    # Delsarte bound is an integer; otherwise disjoint maximum cliques of
+    # size theta1 + 1 (the elliptic affine case)
+    bound = delsarte_bound(params, spec)
+    size = int(bound) if bound.denominator == 1 else spec.theta1 + 1
+    inter = size - (spec.theta1 + 1)
     bits = []
     for C in (C0, C1):
-        if isinstance(C, CliqueInfo):
-            b = C.bits()
-        else:
-            b = 0
-            for x in C:
-                b |= 1 << x
+        b = 0
+        for x in (C.vertices if isinstance(C, CliqueInfo) else C):
+            if not 0 <= x < g.n:
+                raise NotDelsarte(f"vertex {x} outside graph of order {g.n}")
+            b |= 1 << x
         members = bit_indices(b)
         if len(members) != size or any(
                 not g.are_adjacent(x, y)
@@ -363,13 +340,8 @@ def theta1_from_clique_pair(g: PolarGraph, C0, C1) -> Eigenfunction:
     if common.bit_count() != inter:
         raise NotMaxIntersection(
             f"intersection {common.bit_count()}, the family's maximum is {inter}")
-    values: dict[int, Fraction] = {}
-    one = Fraction(1)
-    for x in bit_indices(b0 & ~common):
-        values[x] = one
-    for x in bit_indices(b1 & ~common):
-        values[x] = -one
-    return Eigenfunction(values, spec.theta1, dict(g.provenance))
+    return _pair_function(g, bit_indices(b0 & ~common), bit_indices(b1 & ~common),
+                          spec.theta1)
 
 
 def theta2_unitary(g: PolarGraph) -> Eigenfunction:
@@ -380,9 +352,7 @@ def theta2_unitary(g: PolarGraph) -> Eigenfunction:
     -2*theta2 = 2*(sqrt(q)+1) for theta2 = -(sqrt(q)+1).
     """
     _require_kind(g, ("unitary",), "theta2_unitary")
-    space = g.space
     ctx = g.ctx
-    r = ctx.sqrt_q
     subgroup = norm_one_subgroup(ctx)
     if ctx.p == 2:
         seconds = [gamma for gamma in subgroup]
@@ -390,14 +360,10 @@ def theta2_unitary(g: PolarGraph) -> Eigenfunction:
         eps = norm_minus_one_unit(ctx)
         seconds = [eps * gamma for gamma in subgroup]
     one_e, zero_e = ctx.one, ctx.zero
-    values: dict[int, Fraction] = {}
-    plus, minus = Fraction(1), Fraction(-1)
-    for a in seconds:
-        p0 = space.point_for_vector((one_e, a, zero_e, zero_e))
-        values[p0.index] = plus
-        p1 = space.point_for_vector((zero_e, zero_e, one_e, a))
-        values[p1.index] = minus
-    return Eigenfunction(values, -(r + 1), dict(g.provenance))
+    point = g.space.point_for_vector
+    return _pair_function(g, [point((one_e, a, zero_e, zero_e)).index for a in seconds],
+                          [point((zero_e, zero_e, one_e, a)).index for a in seconds],
+                          -(ctx.sqrt_q + 1))
 
 
 def unitary_pair_parts(f: Eigenfunction) -> tuple[tuple[int, ...], tuple[int, ...]]:

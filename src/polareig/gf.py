@@ -122,21 +122,6 @@ def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]
     return _poly_trim(tuple(a))
 
 
-def _poly_divmod(a: tuple[int, ...], b: tuple[int, ...], p: int):
-    b = _poly_trim(b)
-    inv_lead = pow(b[-1], p - 2, p)
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(_poly_trim(tuple(a))) >= len(b):
-        a = list(_poly_trim(tuple(a)))
-        shift = len(a) - len(b)
-        c = (a[-1] * inv_lead) % p
-        q[shift] = c
-        for i in range(len(b)):
-            a[shift + i] = (a[shift + i] - c * b[i]) % p
-    return _poly_trim(tuple(q)), _poly_trim(tuple(a))
-
-
 def _monic_polys(p: int, deg: int):
     """Monic degree-deg polynomials over GF(p), least first in canonical order."""
     for idx in range(p ** deg):
@@ -156,8 +141,7 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
         return True
     for d in range(1, deg // 2 + 1):
         for divisor in _monic_polys(p, d):
-            _, r = _poly_divmod(poly, divisor, p)
-            if not r:
+            if not _poly_mod(poly, divisor, p):
                 return False
     return True
 

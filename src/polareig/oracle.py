@@ -19,13 +19,12 @@ authoritative and the disagreement is reported as data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from . import forms, graphs, linalg
 from .graphs import PolarGraph
 from .polarspace import (NotPairwiseCollinear, PolarSpace, bit_indices,
-                         counter_planes, counts_differ)
+                         counter_planes, counts_differ, q_power)
 
 
 class OracleError(Exception):
@@ -260,21 +259,13 @@ def check_characterisation(g: PolarGraph, catalog: PairCatalog,
 
 # -- counting formulas -----------------------------------------------------------
 
-def _q_power(ctx, exponent: Fraction) -> int:
-    """q^exponent for possibly half-integral exponents (q a square then)."""
-    e = Fraction(exponent) * ctx.k
-    if e.denominator != 1:
-        raise OracleError(f"q^{exponent} is not an integer for q = {ctx.q}")
-    return ctx.p ** int(e)
-
-
 def printed_polar_count(space: PolarSpace) -> int:
     """choose(t+1, 2) * (q^n - 1)/(q - 1) * prod_{i=0}^{n-2} (q^(n+e-i-1) + 1)."""
     desc = space.descriptor()
     n, (q, t), e = desc.rank, desc.order, desc.e
     value = comb(t + 1, 2) * ((q ** n - 1) // (q - 1))
     for i in range(n - 1):
-        value *= _q_power(space.ctx, n + e - i - 1) + 1
+        value *= q_power(q, n + e - i - 1) + 1
     return value
 
 

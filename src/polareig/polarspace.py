@@ -105,24 +105,23 @@ class PolarSpaceDescriptor:
     maximal_count: int
 
 
-# order parameter t and counting constant e per family, from the classical
-# classification of embedded polar spaces of rank >= 2
-def _expected_t(family: str, q: int, dim: int, sqrt_q: int | None) -> int:
-    if family == "sp" or family == "o":
-        return q
-    if family == "o+":
-        return 1
-    if family == "o-":
-        return q * q
-    # unitary: t = sqrt(q) in even dimension, q*sqrt(q) in odd
-    return sqrt_q if dim % 2 == 0 else q * sqrt_q
-
-
+# counting constant e per family, from the classical classification of
+# embedded polar spaces of rank >= 2; the order parameter t is q^e
 def _expected_e(family: str, dim: int) -> Fraction:
     fixed = {"sp": Fraction(1), "o": Fraction(1), "o+": Fraction(0), "o-": Fraction(2)}
     if family in fixed:
         return fixed[family]
     return Fraction(1, 2) if dim % 2 == 0 else Fraction(3, 2)
+
+
+def q_power(q: int, e) -> int:
+    """q^e for a non-negative multiple e of 1/2; q is a square when e is
+    half-integral."""
+    twice = q ** int(2 * e)
+    root = isqrt(twice)
+    if root * root != twice:
+        raise PolarSpaceError(f"q^{e} is not an integer for q = {q}")
+    return root
 
 
 def witt_index(family: str, dim: int) -> int:
@@ -137,12 +136,12 @@ def singular_subspace_count(family: str, dim: int, q: int, k: int) -> int:
     n = witt_index(family, dim)
     if k > n:
         return 0
-    two_e = int(2 * _expected_e(family, dim))
+    e = _expected_e(family, dim)
     value = 1
     for i in range(k):
         value = value * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
     for i in range(n - k + 1, n + 1):
-        value *= isqrt(q ** (2 * i + two_e - 2)) + 1
+        value *= q_power(q, i + e - 1) + 1
     return value
 
 
@@ -289,15 +288,6 @@ class PolarSpace:
         return SingularSubspace(linalg.element_rows(self.ctx, basis), sum(basis, ()),
                                 self._span_point_bits(basis), len(basis) - 1)
 
-    def _singular_span(self, rows, error: PolarSpaceError) -> SingularSubspace:
-        """The span of rows of element indices; raises error unless it is
-        totally singular."""
-        basis = linalg.rref_i(self.ctx, rows)
-        if not forms.totally_singular_i(self.form, basis):
-            raise error
-        self.points()
-        return self._subspace(basis)
-
     def _bases(self, d: int, cand: int = -1):
         """The reduced-echelon rows (point keys) of every totally singular
         subspace of projective dimension d spanned by points of cand, in
@@ -392,6 +382,7 @@ class PolarSpace:
             return self._descriptor
         n = self.rank()
         ctx = self.ctx
+        e = _expected_e(self.family, self.dim)
         if (n >= 1 and not self.subspaces(n - 1)) or self.subspaces(n):
             raise OrderNotWellDefined(
                 f"the enumerated levels do not end at the Witt index {n}")
@@ -409,8 +400,7 @@ class PolarSpace:
             t = counts.pop() - 1
             if t < 1:
                 raise OrderNotWellDefined(f"t = {t} is not positive")
-            sqrt_q = ctx.p ** (ctx.k // 2) if ctx.k % 2 == 0 else None
-            expected = _expected_t(self.family, ctx.q, self.dim, sqrt_q)
+            expected = q_power(ctx.q, e)
             if t != expected:
                 raise OrderNotWellDefined(
                     f"computed t = {t} but the {self.family} family requires {expected}")
@@ -419,7 +409,7 @@ class PolarSpace:
             q=ctx.q,
             rank=n,
             order=(ctx.q, t),
-            e=_expected_e(self.family, self.dim),
+            e=e,
             point_count=self.point_count(),
             maximal_count=len(self.maximals()),
         )
@@ -479,8 +469,11 @@ class PolarSpace:
                 rows.append(p.key())
         if not rows:
             raise PolarSpaceError("span of nothing")
-        return self._singular_span(
-            rows, NotPairwiseCollinear("the span is not totally singular"))
+        basis = linalg.rref_i(self.ctx, rows)
+        if not forms.totally_singular_i(self.form, basis):
+            raise NotPairwiseCollinear("the span is not totally singular")
+        self.points()
+        return self._subspace(basis)
 
 
 def bit_indices(bits: int) -> tuple[int, ...]:

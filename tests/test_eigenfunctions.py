@@ -285,3 +285,114 @@ def test_eigenfunction_csv_round_trip(sp42, tmp_path):
     assert loaded.values == f.values
     loaded.theta = f.theta
     assert verify_eigenfunction(sp42, loaded).support_size == 4
+
+
+def _hyperbolic_3():
+    g = graphs.affine_polar_graph(2, 1, field_new(3, 1))
+    L = g.space.subspaces(0)[3]
+    sigma = g.space.maximals_containing(L)
+    return theta1_hyperbolic(g, v=(1, 2, 0, 1), L=L, M=sigma[1], N=sigma[0])
+
+
+def _elliptic_3():
+    g = graphs.affine_polar_graph(2, -1, field_new(3, 1))
+    return theta1_elliptic(g, v=(2, 0, 1, 1), M=g.space.maximals()[5])
+
+
+def _sp33_sigma():
+    g = graphs.collinearity_graph(polarspace.polar_space(
+        forms.standard_form("sp", 6, field_new(3, 1))))
+    L = g.space.subspaces(1)[7]
+    sigma = g.space.maximals_containing(L)
+    return g, L, sigma[3], sigma[0]
+
+
+def _polar_sp33():
+    return theta1_polar(*_sp33_sigma())
+
+
+def _clique_pair_sp33(as_info):
+    g, _, M, N = _sp33_sigma()
+    if as_info:
+        return theta1_from_clique_pair(
+            g, *(graphs.CliqueInfo(S.point_indices(), True, None) for S in (M, N)))
+    return theta1_from_clique_pair(g, M.point_indices(), N.point_indices())
+
+
+_SP33_PLUS = (283, 288, 290, 310, 315, 317, 337, 342, 344)
+_SP33_MINUS = (40, 45, 47, 67, 72, 74, 94, 99, 101)
+
+
+@pytest.mark.parametrize("construct,theta,plus,minus", [
+    (_hyperbolic_3, 5, (5, 12, 22, 62, 69, 79), (27, 28, 37, 38, 45, 47)),
+    (lambda: theta1_hyperbolic(
+        graphs.affine_polar_graph(2, 1, field_new(2, 2)), v=(3, 1, 2, 0)), 11,
+     (200, 201, 202, 203, 232, 233, 234, 235, 248, 249, 250, 251),
+     (24, 25, 26, 27, 88, 89, 90, 91, 152, 153, 154, 155)),
+    (_elliptic_3, 2, (9, 53, 58), (14, 46, 60)),
+    (_polar_sp33, 8, _SP33_PLUS, _SP33_MINUS),
+    (lambda: _clique_pair_sp33(True), 8, _SP33_PLUS, _SP33_MINUS),
+    (lambda: _clique_pair_sp33(False), 8, _SP33_PLUS, _SP33_MINUS),
+    (lambda: theta2_unitary(graphs.unitary_graph(field_new(3, 2))), -4,
+     (124, 157, 214, 247), (0, 1, 2, 3)),
+], ids=["hyperbolic vo+:2:3", "hyperbolic vo+:2:4", "elliptic vo-:2:3",
+        "polar sp:3:3", "clique-info sp:3:3", "clique-tuples sp:3:3",
+        "unitary u:2:9"])
+def test_constructions_with_non_default_arguments(construct, theta, plus, minus):
+    # pinned values: the CLI digests cover only the default arguments
+    f = construct()
+    assert f.theta == theta
+    assert ef.unitary_pair_parts(f) == (plus, minus)
+
+
+_BAD_ENTRIES = [(5, "range"), (-1, "range"), (3, "range"), (1.5, "range"),
+                ((3, 2, 5), "element of"), ((3, 2, 1), "element of")]
+_BAD_IDS = ["5", "-1", "q", "1.5", "GF(9) element 5", "GF(9) element 1"]
+
+
+def _bad_vector(entry):
+    # an int entry, or a (p, k, index) element of another field
+    if isinstance(entry, tuple):
+        p, k, index = entry
+        entry = field_new(p, k).element(index)
+    return (0, 0, 0, entry)
+
+
+@pytest.mark.parametrize("entry,message", _BAD_ENTRIES, ids=_BAD_IDS)
+def test_hyperbolic_translation_entries_are_checked(entry, message, vo_plus_3):
+    with pytest.raises(ef.EigenfunctionError, match=message):
+        theta1_hyperbolic(vo_plus_3, v=_bad_vector(entry))
+
+
+def test_hyperbolic_translation_entry_minus_one_is_not_the_last_element():
+    # on GF(4) the last index is x + 1, not -1 = 1
+    g = graphs.affine_polar_graph(2, 1, field_new(2, 2))
+    with pytest.raises(ef.EigenfunctionError, match="range"):
+        theta1_hyperbolic(g, v=(0, 0, 0, -1))
+
+
+@pytest.mark.parametrize("entry,message", _BAD_ENTRIES, ids=_BAD_IDS)
+def test_elliptic_translation_entries_are_checked(entry, message, vo_minus_3):
+    with pytest.raises(ef.EigenfunctionError, match=message):
+        theta1_elliptic(vo_minus_3, v=_bad_vector(entry))
+
+
+@pytest.mark.parametrize("entry,message", _BAD_ENTRIES, ids=_BAD_IDS)
+def test_elliptic_perp_translation_entries_are_checked(entry, message, vo_minus_3):
+    # the default t is (0, 0, 0, 1), so the entries -1 and 1 of another
+    # field would pass as the translations 2t and t
+    M = vo_minus_3.space.least_subspace(vo_minus_3.space.rank() - 1)
+    assert ef.least_perp_translation(vo_minus_3, M) == (0, 0, 0, 1)
+    with pytest.raises(ef.EigenfunctionError, match=message):
+        theta1_elliptic(vo_minus_3, M=M, t=_bad_vector(entry))
+
+
+@pytest.mark.parametrize("bad", [(-1, 0, 1), (0, 1, 15),
+                                 graphs.CliqueInfo((0, 1, 18), True, None)],
+                         ids=["negative", "n", "clique info"])
+@pytest.mark.parametrize("first", [True, False], ids=["C0", "C1"])
+def test_clique_pair_vertices_must_lie_in_the_graph(bad, first, sp42):
+    pair = list(graphs.max_intersecting_delsarte_pair(sp42))
+    pair[0 if first else 1] = bad
+    with pytest.raises(NotDelsarte, match="outside graph"):
+        theta1_from_clique_pair(sp42, *pair)

@@ -238,6 +238,20 @@ def test_rank_and_order(family, dim, p, k, rank, t, e):
     assert desc.e == e
 
 
+@pytest.mark.parametrize("q,e,value", [
+    (3, 0, 1), (3, 1, 3), (3, 2, 9), (4, Fraction(1, 2), 2),
+    (9, Fraction(3, 2), 27), (16, Fraction(5, 2), 1024),
+])
+def test_q_power_takes_half_integral_exponents(q, e, value):
+    # t = q^e in every family, and the counts use the same powers
+    assert polarspace.q_power(q, e) == value
+
+
+def test_q_power_rejects_a_half_power_of_a_non_square():
+    with pytest.raises(polarspace.PolarSpaceError, match="not an integer"):
+        polarspace.q_power(8, Fraction(3, 2))
+
+
 @pytest.mark.parametrize("family,dim,p,k,through", [
     ("sp", 4, 2, 1, 3),
     ("o+", 4, 2, 1, 2),
