@@ -3,8 +3,9 @@
 
 Covers every family at the sizes used by the acceptance suite; rank-1
 elliptic spaces are reported as the clean builder error they raise.
-Each instance's build time and strong-regularity check time go to stderr,
-so stdout stays the same from run to run:
+Each instance's build time, strong-regularity check time and the time of
+each graph export (json, edges, graph6) go to stderr, so stdout stays the
+same from run to run:
 
     PYTHONPATH=src python scripts/build_grid.py
 """
@@ -13,7 +14,7 @@ import json
 import sys
 import time
 
-from polareig import cli
+from polareig import cli, serialize
 
 GRID = [
     ("sp", 2, 2), ("sp", 2, 3),
@@ -39,8 +40,13 @@ def main():
         checked = time.perf_counter()
         g.srg_params()  # build_summary reads the parameters cached here
         done = time.perf_counter()
-        print(f"{label:12s} build {checked - built:.3f}s srg_check {done - checked:.3f}s",
-              file=sys.stderr)
+        exports = []
+        for fmt in ("json", "edges", "graph6"):
+            t0 = time.perf_counter()
+            serialize.GRAPH_FORMATS[fmt](g)
+            exports.append(f"{fmt} {time.perf_counter() - t0:.3f}s")
+        print(f"{label:12s} build {checked - built:.3f}s srg_check {done - checked:.3f}s "
+              f"export {' '.join(exports)}", file=sys.stderr)
         summary = cli.build_summary(g)
         print(f"{label:12s} {json.dumps(summary, sort_keys=True)}")
     print(f"total {time.time() - start:.1f}s", file=sys.stderr)

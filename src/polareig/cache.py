@@ -2,15 +2,17 @@
 
 Files are JSON-lines: one header object, then one entry per line.  Writes
 are deterministic (sorted content, fixed separators) so repeated runs are
-byte-identical.  ``enumerate`` with no ``--out`` writes its catalogue into
-the directory given by ``--cache-dir`` or the POLAR_EIG_CACHE environment
-variable; with neither, it writes no file.  Nothing is ever read back.
+byte-identical, and lines are rendered one at a time as they are written.
+``enumerate`` with no ``--out`` writes its catalogue into the directory
+given by ``--cache-dir`` or the POLAR_EIG_CACHE environment variable; with
+neither, it writes no file and renders no line.  Nothing is ever read back.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterable
 from contextlib import suppress
 from pathlib import Path
 
@@ -18,8 +20,9 @@ from pathlib import Path
 ENV_VAR = "POLAR_EIG_CACHE"
 
 
-def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# json.dumps(obj, sort_keys=True, separators=(",", ":")) with one shared
+# encoder; json.dumps would build a new encoder for every catalogue line
+dumps_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _safe(tag: str) -> str:
@@ -40,9 +43,11 @@ def catalog_path(directory: str | os.PathLike | None, provenance: dict,
                    f"_p{provenance['p']}k{provenance['k']}_{kind}_s{s}.jsonl")
 
 
-def write_jsonl(path: Path, header: dict, lines: list) -> None:
-    """Write through a temporary file that replaces path; on failure the
-    temporary file is removed and the error re-raised."""
+def write_jsonl(path: Path, header: dict, lines: Iterable) -> None:
+    """Write the header, then one line per entry of lines (any iterable,
+    consumed once), through a temporary file that replaces path; on any
+    failure, one raised by lines included, the temporary file is removed and
+    the error re-raised."""
     tmp = path.with_suffix(".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:

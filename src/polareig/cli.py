@@ -255,11 +255,11 @@ def enumerate_pairs(family, q, n, m, cap, cache_dir, kind, size, out):
         catalog = oracle.enumerate_isolated_clique_pairs(g, size)
     else:
         catalog = oracle.enumerate_bipartite_pairs(g, size)
-    header, lines = serialize.catalog_json_lines(catalog, g.provenance)
     try:
         # an empty --out counts as absent, as in build and eigenfunction
         target = out or _cache.catalog_path(cache_dir, g.provenance, catalog.kind, size)
-        if target is not None:
+        if target is not None:  # with no file to write, render no line
+            header, lines = serialize.catalog_json_lines(catalog, g.provenance)
             _cache.write_jsonl(Path(target), header, lines)
     except OSError as exc:
         raise SystemExit(_fail(6, f"cannot write catalog: {exc}"))

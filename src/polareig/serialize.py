@@ -5,6 +5,12 @@ Eigenfunctions serialise as JSON ({graph, theta, entries}) with exact
 numerator/denominator pairs, or as CSV with a "vertex,value" header.  All
 writers emit canonical bytes (sorted keys, fixed separators) so identical
 inputs give identical files.
+
+The graph writers render one string per adjacency row (graph6: per column)
+straight from the bitsets and hold no Python object per edge or bit, so
+their memory grows with the size of the text they return.  Catalogue
+entries are produced lazily and rendered only as ``cache.write_jsonl``
+writes them.
 """
 
 from __future__ import annotations
@@ -12,7 +18,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+from binascii import b2a_base64
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import compress, count
 
 from .cache import dumps_canonical
 from .eigenfunctions import Eigenfunction
@@ -24,13 +33,36 @@ class SerializeError(Exception):
     pass
 
 
+_BIT = bytes.maketrans(b"01", b"\0\1")
+_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)))
+
+
+def _upper_rows(g: PolarGraph):
+    """(i, js) for each vertex i with a neighbour above it: js are those
+    neighbours in increasing order, as decimal strings, read from the bits of
+    adj[i] above i and rendered one row at a time."""
+    for i, row in enumerate(g.adj):
+        upper = row >> (i + 1)
+        if upper:
+            flags = format(upper, "b")[::-1].encode().translate(_BIT)
+            yield i, map(str, compress(count(i + 1), flags))
+
+
 def edge_list_text(g: PolarGraph) -> str:
-    lines = [f"{i} {j}" for i, j in g.edges()]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One "i j" line per edge, i < j, in increasing order."""
+    return "".join(f"{i} " + f"\n{i} ".join(js) + "\n" for i, js in _upper_rows(g))
 
 
 def graph6(g: PolarGraph) -> str:
-    """The standard graph6 encoding of the adjacency matrix."""
+    """The standard graph6 encoding of the adjacency matrix.
+
+    graph6 reads the upper triangle column by column (bit i of column j for
+    i < j), pads it with zeros to a multiple of 6 bits and writes each 6-bit
+    group, most significant bit first, as chr(63 + group).  Base64 groups
+    bits the same way, so the body is the base64 text of those bits with its
+    alphabet translated."""
     n = g.n
     if n > 258047:
         raise SerializeError("graph too large for the 4-byte graph6 header")
@@ -39,29 +71,21 @@ def graph6(g: PolarGraph) -> str:
     else:
         head = "~" + "".join(
             chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
-    bits = []
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            bits.append((col >> i) & 1)
-    body = []
-    for i in range(0, len(bits), 6):
-        group = bits[i:i + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        body.append(chr(val + 63))
-    return head + "".join(body)
+    bits = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1]
+                   for j in range(1, n))
+    groups = -(-len(bits) // 6)  # the last one padded with zeros
+    pad = -len(bits) % 24  # whole base64 quanta, so no "=" padding
+    raw = (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
+    body = b2a_base64(raw, newline=False).translate(_GRAPH6)
+    return head + body[:groups].decode("ascii")
 
 
 def graph_json(g: PolarGraph) -> str:
-    payload = {
-        "provenance": g.provenance,
-        "v": g.n,
-        "edges": [[i, j] for i, j in g.edges()],
-    }
-    return dumps_canonical(payload) + "\n"
+    """dumps_canonical({"provenance", "v", "edges": [[i, j], ...]}) + "\n",
+    with the edge list rendered row by row in the same sorted-key layout."""
+    edges = ",".join(f"[{i}," + f"],[{i},".join(js) + "]" for i, js in _upper_rows(g))
+    return (f'{{"edges":[{edges}],"provenance":{dumps_canonical(g.provenance)},'
+            f'"v":{g.n}}}\n')
 
 
 GRAPH_FORMATS = {
@@ -154,17 +178,20 @@ def load_eigenfunction(path) -> Eigenfunction:
     return eigenfunction_from_json(text)
 
 
-def catalog_json_lines(catalog: PairCatalog, provenance: dict) -> tuple[dict, list]:
+def catalog_json_lines(catalog: PairCatalog,
+                       provenance: dict) -> tuple[dict, Iterator[list]]:
+    """The catalogue file's header, and a lazy iterator of its entries:
+    [t0, t1] per pair, with the outside-regular flag appended for bipartite
+    catalogues.  Nothing is rendered until the entries are consumed."""
     header = {
         "kind": catalog.kind,
         "s": catalog.s,
         "provenance": provenance,
         "counts": catalog.counts(),
     }
-    lines = []
-    for idx, (t0, t1) in enumerate(catalog.pairs):
-        entry = [list(t0), list(t1)]
-        if catalog.outside_regular is not None:
-            entry.append(bool(catalog.outside_regular[idx]))
-        lines.append(entry)
-    return header, lines
+    if catalog.outside_regular is None:
+        entries = ([list(t0), list(t1)] for t0, t1 in catalog.pairs)
+    else:
+        entries = ([list(t0), list(t1), bool(flag)]
+                   for (t0, t1), flag in zip(catalog.pairs, catalog.outside_regular))
+    return header, entries

@@ -6,9 +6,18 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 # sha256 of the survey's stdout: every pair count, printed and derived value
 COUNT_SURVEY_SHA = "b25919702ea704d4a9331242bbc7c6afbd5f374bdc836e52d40c1a6ca42ae051"
+# sha256 of the grid's stdout: one summary line per instance; timings go to stderr
+BUILD_GRID_SHA = "71c29023798241e449a942da642e34ecdc1d494e5c5b7ac7df7c9683675de1bb"
 
 
 def test_count_survey_stdout_matches_its_recorded_digest(capsys):
     runpy.run_path(str(SCRIPTS / "count_survey.py"), run_name="__main__")
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == COUNT_SURVEY_SHA
+
+
+def test_build_grid_stdout_matches_its_recorded_digest(capsys):
+    runpy.run_path(str(SCRIPTS / "build_grid.py"), run_name="__main__")
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == BUILD_GRID_SHA
+    assert "export json" in captured.err
