@@ -51,7 +51,7 @@ def _echo_json(payload: dict):
 
 def build_graph(family: str, q: int, n: int | None, m: int | None,
                 cap: int = VERTEX_CAP) -> graphs.PolarGraph:
-    """Construct the requested graph, enforcing the vertex cap."""
+    """Construct the requested graph, enforcing the field and vertex caps."""
     if family not in GRAPH_FAMILIES:
         raise ConfigError(f"unknown family {family!r}")
     try:
@@ -139,7 +139,7 @@ def _common_options(fn):
     fn = click.option("--family", required=True,
                       type=click.Choice(GRAPH_FAMILIES))(fn)
     fn = click.option("--q", "q", required=True, type=int,
-                      help="field size, a prime power")(fn)
+                      help=f"field size, a prime power up to {gf.DESK_SCALE_CAP}")(fn)
     fn = click.option("--n", "n", type=int, default=None,
                       help="rank for sp/o+/o/o-/u families")(fn)
     fn = click.option("--m", "m", type=int, default=None,
@@ -178,7 +178,8 @@ def build(family, q, n, m, cap, fmt, out):
         if out:
             _write_or_exit(out, text)
         else:
-            click.echo(text, nl=False)
+            for part in _slices(text):
+                click.echo(part, nl=False)
 
 
 @main.command()
@@ -344,10 +345,14 @@ def _build_or_exit(family, q, n, m, cap) -> graphs.PolarGraph:
     return g
 
 
+def _slices(text):  # 1 MiB each: a write encodes one slice, never the whole text
+    return (text[i:i + 2 ** 20] for i in range(0, len(text), 2 ** 20))
+
+
 def _write_or_exit(path, text):
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(_slices(text))
     except OSError as exc:
         raise SystemExit(_fail(6, f"cannot write {path}: {exc}"))
 

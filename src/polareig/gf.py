@@ -10,20 +10,20 @@ determinism from this order.
 
 The modulus is the least monic irreducible polynomial of degree k in the
 same order (applied to the non-leading coefficients), so two constructions
-of GF(p^k) are always identical, bit for bit.
+of GF(p^k) are always identical, bit for bit.  Every context holds dense
+add/mul/neg/inv tables (and Frobenius for square orders); every operation
+is a lookup in them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 
-DESK_SCALE_CAP = 2 ** 20
-
-# Fields at or below this order get dense add/mul/inv/frobenius tables;
-# larger fields fall back to per-operation polynomial arithmetic.
-_TABLE_LIMIT = 64
+# Every field gets dense q-by-q add and mul tables, so the order is capped;
+# GF(256) covers every field of a graph with up to 65,536 vertices.
+DESK_SCALE_CAP = 2 ** 8
 
 
 class FieldError(Exception):
@@ -137,8 +137,6 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     deg = len(poly) - 1
     if deg <= 0:
         return False
-    if deg == 1:
-        return True
     for d in range(1, deg // 2 + 1):
         for divisor in _monic_polys(p, d):
             if not _poly_mod(poly, divisor, p):
@@ -164,16 +162,10 @@ class FieldContext:
         self.k = k
         self.q = p ** k
         self.modulus = modulus
-        self._add = None
-        self._mul = None
-        self._neg = None
-        self._inv = None
         self._frob = None
         self._primitive_index = None
-        if self.q <= _TABLE_LIMIT:
-            self._build_tables()
-        self._elements = tuple(FieldElement(self, i) for i in range(self.q)) \
-            if self.q <= _TABLE_LIMIT else None
+        self._build_tables()
+        self._elements = tuple(FieldElement(self, i) for i in range(self.q))
 
     # -- identity ------------------------------------------------------------
 
@@ -206,15 +198,12 @@ class FieldContext:
     # -- element access --------------------------------------------------------
 
     def element(self, index: int) -> "FieldElement":
-        if self._elements is not None:
+        if 0 <= index < self.q:
             return self._elements[index]
-        return FieldElement(self, index)
+        raise FieldError(f"element index {index} is outside {self!r}")
 
     def from_coeffs(self, coeffs) -> "FieldElement":
         return self.element(self.index_of(coeffs))
-
-    def from_int(self, n: int) -> "FieldElement":
-        return self.element(n % self.p)
 
     @property
     def zero(self) -> "FieldElement":
@@ -226,7 +215,7 @@ class FieldContext:
 
     def elements(self):
         """All elements in canonical order."""
-        return [self.element(i) for i in range(self.q)]
+        return list(self._elements)
 
     # -- index-level arithmetic (hot path) --------------------------------------
 
@@ -263,47 +252,26 @@ class FieldContext:
             self._frob = [self.pow_i(a, r) for a in range(q)]
 
     def tables(self):
-        """(add, mul, neg, inv), indexed as add[a][b] and neg[a].
-
-        These are the dense tables when the field has them; for a larger
-        field they are views that compute each entry with add_i, mul_i,
-        neg_i and inv_i.
-        """
-        if self._mul is not None:
-            return self._add, self._mul, self._neg, self._inv
-        return (_Computed(self.add_i, 2), _Computed(self.mul_i, 2),
-                _Computed(self.neg_i, 1), _Computed(self.inv_i, 1))
+        """The dense (add, mul, neg, inv) tables, indexed as add[a][b] and
+        neg[a]; inv[0] is 0, so callers check for zero themselves."""
+        return self._add, self._mul, self._neg, self._inv
 
     def add_i(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return self._add[a][b]
-        ca, cb = self.coeffs_of(a), self.coeffs_of(b)
-        return self.index_of(tuple((x + y) % self.p for x, y in zip(ca, cb)))
+        return self._add[a][b]
 
     def neg_i(self, a: int) -> int:
-        if self._neg is not None:
-            return self._neg[a]
-        return self.index_of(tuple((-c) % self.p for c in self.coeffs_of(a)))
+        return self._neg[a]
 
     def sub_i(self, a: int, b: int) -> int:
         return self.add_i(a, self.neg_i(b))
 
     def mul_i(self, a: int, b: int) -> int:
-        if self._mul is not None:
-            return self._mul[a][b]
-        if a == 0 or b == 0:
-            return 0
-        prod = _poly_mod(
-            _poly_mul(_poly_trim(self.coeffs_of(a)), _poly_trim(self.coeffs_of(b)), self.p),
-            self.modulus, self.p)
-        return self.index_of(prod + (0,) * (self.k - len(prod)))
+        return self._mul[a][b]
 
     def inv_i(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        if self._inv is not None:
-            return self._inv[a]
-        return self.pow_i(a, self.q - 2)
+        return self._inv[a]
 
     def div_i(self, a: int, b: int) -> int:
         return self.mul_i(a, self.inv_i(b))
@@ -326,30 +294,13 @@ class FieldContext:
     def frob_i(self, a: int) -> int:
         if self.k % 2 != 0:
             raise OddExtensionDegree(f"{self!r} is not a square-order field")
-        if self._frob is not None:
-            return self._frob[a]
-        return self.pow_i(a, self.p ** (self.k // 2))
+        return self._frob[a]
 
     @property
     def sqrt_q(self) -> int:
         if self.k % 2 != 0:
             raise OddExtensionDegree(f"{self!r} is not a square-order field")
         return self.p ** (self.k // 2)
-
-
-class _Computed:
-    """Table-style view of a field operation: t[a] (arity 1) or t[a][b]."""
-
-    __slots__ = ("op", "arity")
-
-    def __init__(self, op, arity: int):
-        self.op = op
-        self.arity = arity
-
-    def __getitem__(self, a: int):
-        if self.arity == 1:
-            return self.op(a)
-        return _Computed(partial(self.op, a), 1)
 
 
 class FieldElement:
@@ -457,7 +408,12 @@ def _field_cached(p: int, k: int) -> FieldContext:
     raise FieldError(f"no irreducible polynomial of degree {k} over GF({p})")  # unreachable
 
 
-def field_new(p: int, k: int, cap: int = DESK_SCALE_CAP) -> FieldContext:
+def _check_cap(q: int):
+    if q > DESK_SCALE_CAP:
+        raise CapExceeded(f"field order {q} exceeds the desk-scale cap {DESK_SCALE_CAP}")
+
+
+def field_new(p: int, k: int) -> FieldContext:
     """Build GF(p^k) with the canonically-least irreducible monic modulus.
 
     Deterministic across runs: same (p, k) gives an identical modulus and
@@ -467,14 +423,15 @@ def field_new(p: int, k: int, cap: int = DESK_SCALE_CAP) -> FieldContext:
         raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
     if k < 1:
         raise DegreeZero(f"extension degree must be >= 1, got {k}")
-    if p ** k > cap:
-        raise CapExceeded(f"{p}^{k} exceeds the desk-scale cap {cap}")
+    _check_cap(p ** k)
     return _field_cached(p, k)
 
 
-def field_from_order(q: int, cap: int = DESK_SCALE_CAP) -> FieldContext:
+def field_from_order(q: int) -> FieldContext:
+    """GF(q); the cap is checked first, so a large q is never factored."""
+    _check_cap(q)
     p, k = factor_prime_power(q)
-    return field_new(p, k, cap=cap)
+    return field_new(p, k)
 
 
 def frobenius_sqrt(x: FieldElement) -> FieldElement:
@@ -523,7 +480,6 @@ def norm_one_subgroup(ctx: FieldContext) -> NormOneSubgroup:
     """All x with x^(sqrt(q)+1) = 1, sorted canonically; size sqrt(q)+1."""
     r = ctx.sqrt_q  # raises OddExtensionDegree when k is odd
     members = [ctx.element(i) for i in range(1, ctx.q) if ctx.pow_i(i, r + 1) == 1]
-    members.sort(key=lambda e: e.index)
     return NormOneSubgroup(ctx, tuple(members))
 
 

@@ -1,7 +1,6 @@
 """Small exact linear algebra over GF(q), on tuples of element indices.
 
-:func:`rref_i` reduces rows through the field's dense tables (or, for
-fields too large to tabulate, its index-level operations).  A subspace is
+:func:`rref_i` reduces rows through the field's dense tables.  A subspace is
 represented by its reduced row-echelon basis, the unique canonical
 representative used for hashing and deterministic sorting.
 :func:`null_space_i`, :func:`in_span_i` and :func:`span_i` are built on it;

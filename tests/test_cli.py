@@ -77,9 +77,13 @@ def test_cap_is_checked_before_any_point_is_listed(monkeypatch):
         raise AssertionError("points listed before the cap check")
 
     monkeypatch.setattr(polarspace.PolarSpace, "points", no_points)
+    result = run("build", "--family", "sp", "--n", "2", "--q", "23")
+    assert result.exit_code == 3, result.output
+    assert "12720 points exceed the vertex cap 8192" in result.output
+    # a field above the desk-scale cap stops before any table is built
     result = run("build", "--family", "sp", "--n", "2", "--q", "1009")
     assert result.exit_code == 3, result.output
-    assert "1028262820 points exceed the vertex cap 8192" in result.output
+    assert "field order 1009 exceeds the desk-scale cap 256" in result.output
 
 
 def test_eigenfunction_writes_and_verifies(tmp_path):
@@ -528,6 +532,13 @@ GOLDEN = [
      "c1180e606cb599da4c5ef45683ef718cd1513c97b9f748298ff340bb836244e7"),
     (("count-check", "--family", "sp", "--n", "2", "--q", "3"),
      "46f62876755ea270876d151f87a97b8a2b43c29df6e39c5fe3c82225974fbbc5", None),
+    # over GF(67), recorded while fields above order 64 used per-operation
+    # polynomial arithmetic, a path independent of the dense tables
+    (("build", "--family", "vo+", "--m", "1", "--q", "67", "--format", "graph6"),
+     "c1a6e8445c80de64eb0e89aefd5ec3ae395983fa170d004053fae4b9258f89c8", None),
+    (("eigenfunction", "--family", "vo+", "--m", "1", "--q", "67",
+      "--construct", "theta1-cliquepair"),
+     "c5f37e8c0db32e9eeb8ea9b2210fda461aaf33966e92479fa90e88de0bee7af9", None),
 ]
 
 

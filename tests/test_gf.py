@@ -1,17 +1,21 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polareig import gf
 from polareig.gf import (
     CapExceeded, ContextMismatch, DegreeZero, DivisionByZero,
-    EvenCharacteristic, NonPrimeCharacteristic, OddExtensionDegree,
-    field_new, frobenius_sqrt, multiplicative_order, norm_minus_one_unit,
-    norm_one_subgroup, primitive_element,
+    EvenCharacteristic, FieldError, NonPrimeCharacteristic, OddExtensionDegree,
+    field_from_order, field_new, frobenius_sqrt, multiplicative_order,
+    norm_minus_one_unit, norm_one_subgroup, primitive_element,
 )
 
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                 (2, 4), (5, 2), (7, 2)]
+# GF(125), GF(128), GF(243) and GF(256): too large to check exhaustively
+LARGE_FIELDS = [(5, 3), (2, 7), (3, 5), (2, 8)]
 
 
 def test_prime_field_modulus_is_x():
@@ -76,6 +80,27 @@ def test_constructor_errors():
         field_new(2, 21)
 
 
+def test_the_desk_scale_cap_admits_gf256_and_nothing_larger():
+    assert gf.DESK_SCALE_CAP == 256
+    assert field_from_order(256).q == 256
+    for q in (257, 289, 300, 1009, 2 ** 20):
+        with pytest.raises(CapExceeded, match=f"field order {q} exceeds the "
+                                              "desk-scale cap 256"):
+            field_from_order(q)
+    with pytest.raises(CapExceeded):
+        field_new(2, 9)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (67, 1)])
+def test_element_rejects_an_index_outside_the_field(p, k):
+    ctx = field_new(p, k)
+    for index in (-1, ctx.q, ctx.q + 5):
+        with pytest.raises(FieldError, match=re.escape(
+                f"element index {index} is outside {ctx!r}")):
+            ctx.element(index)
+    assert ctx.element(ctx.q - 1).index == ctx.q - 1
+
+
 def test_frobenius_examples():
     f4 = field_new(2, 2)
     w = f4.element(2)
@@ -86,7 +111,7 @@ def test_frobenius_examples():
         frobenius_sqrt(field_new(2, 3).element(1))
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 4), (5, 2)])
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 4), (5, 2), (3, 4), (2, 8)])
 def test_frobenius_is_an_involutory_automorphism(p, k):
     ctx = field_new(p, k)
     for a in ctx.elements():
@@ -159,7 +184,8 @@ def test_norm_minus_one_unit_rejects_even_characteristic():
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
-                                 (2, 3), (3, 2), (2, 4), (5, 2), (7, 2)])
+                                 (2, 3), (3, 2), (2, 4), (5, 2), (7, 2),
+                                 (67, 1), (3, 4)])
 def test_field_axioms_exhaustive(p, k):
     ctx = field_new(p, k)
     q = ctx.q
@@ -193,6 +219,45 @@ def test_field_axioms_random(field_key, data):
     if ctx.k % 2 == 0:
         assert frobenius_sqrt(a * b) == frobenius_sqrt(a) * frobenius_sqrt(b)
         assert frobenius_sqrt(a + b) == frobenius_sqrt(a) + frobenius_sqrt(b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(LARGE_FIELDS), st.data())
+def test_field_axioms_sampled_on_large_fields(field_key, data):
+    ctx = field_new(*field_key)
+    idx = st.integers(min_value=0, max_value=ctx.q - 1)
+    a, b, c = (ctx.element(data.draw(idx)) for _ in range(3))
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + (-a) == ctx.zero and a * ctx.one == a
+    if not a.is_zero():
+        assert a * a ** (-1) == ctx.one
+        assert a ** (ctx.q - 1) == ctx.one
+    if ctx.k % 2 == 0:
+        assert frobenius_sqrt(a * b) == frobenius_sqrt(a) * frobenius_sqrt(b)
+        assert frobenius_sqrt(a + b) == frobenius_sqrt(a) + frobenius_sqrt(b)
+
+
+@pytest.mark.parametrize("p,k", [(3, 4), (2, 7)])
+def test_tables_equal_the_polynomial_arithmetic(p, k):
+    ctx = field_new(p, k)
+    add, mul, neg, inv = ctx.tables()
+    poly = [gf._poly_trim(ctx.coeffs_of(a)) for a in range(ctx.q)]
+    for a in range(ctx.q):
+        ca = ctx.coeffs_of(a)
+        assert ctx.index_of(tuple(-x for x in ca)) == neg[a]
+        for b in range(ctx.q):
+            cb = ctx.coeffs_of(b)
+            assert ctx.index_of(tuple(x + y for x, y in zip(ca, cb))) == add[a][b]
+            prod = gf._poly_mod(gf._poly_mul(poly[a], poly[b], p), ctx.modulus, p)
+            assert ctx.index_of(prod + (0,) * (k - len(prod))) == mul[a][b]
+        if a:
+            assert mul[a][inv[a]] == 1
+    if k % 2 == 0:
+        assert [ctx.frob_i(a) for a in range(ctx.q)] == \
+            [ctx.pow_i(a, ctx.sqrt_q) for a in range(ctx.q)]
 
 
 def test_determinism_of_construction():
