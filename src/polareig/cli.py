@@ -1,17 +1,20 @@
-"""Command-line front end.
+"""Command-line front end, on the standard library's argparse.
 
 Subcommands: build, eigenfunction, enumerate, count-check, verify.
-Exit codes: 0 success, 2 invalid configuration, 3 desk-scale cap exceeded,
+Exit codes: 0 success, 2 invalid configuration or usage (argparse prints its
+usage line and the error on stderr), 3 desk-scale cap exceeded,
 4 verification failure, 5 count-check formula mismatch (informational),
-6 file I/O error.
+6 file I/O error.  ``main(argv=None)`` is the ``polareig`` console script;
+argv defaults to ``sys.argv[1:]``.
 """
 
 from __future__ import annotations
 
+import argparse
+import os
+import sys
 from fractions import Fraction
 from pathlib import Path
-
-import click
 
 from . import cache as _cache
 from . import eigenfunctions as ef
@@ -46,7 +49,7 @@ class CapError(Exception):
 
 
 def _echo_json(payload: dict):
-    click.echo(_cache.dumps_canonical(payload))
+    print(_cache.dumps_canonical(payload))
 
 
 def build_graph(family: str, q: int, n: int | None, m: int | None,
@@ -135,62 +138,21 @@ def build_summary(g: graphs.PolarGraph) -> dict:
     return out
 
 
-def _common_options(fn):
-    fn = click.option("--family", required=True,
-                      type=click.Choice(GRAPH_FAMILIES))(fn)
-    fn = click.option("--q", "q", required=True, type=int,
-                      help=f"field size, a prime power up to {gf.DESK_SCALE_CAP}")(fn)
-    fn = click.option("--n", "n", type=int, default=None,
-                      help="rank for sp/o+/o/o-/u families")(fn)
-    fn = click.option("--m", "m", type=int, default=None,
-                      help="half the dimension for vo+/vo-")(fn)
-    fn = click.option("--cap", type=int, default=VERTEX_CAP, show_default=True,
-                      help="vertex cap")(fn)
-    return fn
-
-
-def _cache_dir_option(used: bool):
-    """--cache-dir names where enumerate writes its catalogue when --out is
-    absent; every other command accepts it and ignores it."""
-    return click.option(
-        "--cache-dir", default=None, expose_value=used,
-        help=(f"catalogue directory when --out is absent (or ${_cache.ENV_VAR})"
-              if used else "ignored: only enumerate writes there"))
-
-
-@click.group()
-def main():
-    """Polar spaces, strongly regular polar graphs, optimal eigenfunctions."""
-
-
-@main.command()
-@_common_options
-@_cache_dir_option(False)
-@click.option("--format", "fmt", type=click.Choice(sorted(serialize.GRAPH_FORMATS)),
-              default=None, help="also export the graph in this format")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-def build(family, q, n, m, cap, fmt, out):
+def build(args):
     """Build a graph, verify strong regularity, print the parameter summary."""
-    g = _build_or_exit(family, q, n, m, cap)
+    g = _build_or_exit(args.family, args.q, args.n, args.m, args.cap)
     _echo_json(build_summary(g))
-    if fmt:
-        text = serialize.GRAPH_FORMATS[fmt](g)
-        if out:
-            _write_or_exit(out, text)
+    if args.fmt:
+        text = serialize.GRAPH_FORMATS[args.fmt](g)
+        if args.out:
+            _write_or_exit(args.out, text)
         else:
-            for part in _slices(text):
-                click.echo(part, nl=False)
+            sys.stdout.writelines(_slices(text))
 
 
-@main.command()
-@_common_options
-@_cache_dir_option(False)
-@click.option("--construct", required=True, type=click.Choice(tuple(CONSTRUCTIONS)))
-@click.option("--format", "fmt", type=click.Choice(("json", "csv")), default="json",
-              show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-def eigenfunction(family, q, n, m, cap, construct, fmt, out):
+def eigenfunction(args):
     """Run a construction, verify it, and write the eigenfunction file."""
+    family, n, m, construct = args.family, args.n, args.m, args.construct
     served = CONSTRUCTIONS[construct]
     if family not in served or served[family] not in (None, 2 if n is None else n):
         need = " or ".join(f if r is None else f"{f} with --n {r}"
@@ -198,23 +160,23 @@ def eigenfunction(family, q, n, m, cap, construct, fmt, out):
         raise SystemExit(_fail(2, f"{construct} needs family {need}"))
     if (construct, family) in NEEDS_M2 and m is not None and m < 2:
         raise SystemExit(_fail(2, f"{construct} needs family {family} with --m >= 2"))
-    g = _build_or_exit(family, q, n, m, cap)
+    g = _build_or_exit(family, args.q, n, m, args.cap)
     try:
         f = _construct(g, construct)
         report = ef.verify_eigenfunction(g, f)
     except (ef.EigenfunctionError, graphs.GraphError) as exc:
         raise SystemExit(_fail(4, f"construction failed verification: {exc}"))
-    text = (serialize.eigenfunction_json(f) if fmt == "json"
+    text = (serialize.eigenfunction_json(f) if args.fmt == "json"
             else serialize.eigenfunction_csv(f))
-    if out:
-        _write_or_exit(out, text)
+    if args.out:
+        _write_or_exit(args.out, text)
     _echo_json({
         "construct": construct,
         "theta": report.theta,
         "bound": report.bound,
         "support_size": report.support_size,
         "tight": report.tight,
-        "out": out,
+        "out": args.out,
     })
     raise SystemExit(0 if report.tight else 4)
 
@@ -237,17 +199,10 @@ def _construct(g: graphs.PolarGraph, name: str) -> ef.Eigenfunction:
     return ef.theta1_from_clique_pair(g, c0, c1)
 
 
-@main.command("enumerate")
-@_common_options
-@_cache_dir_option(True)
-@click.option("--kind", type=click.Choice(("isolated", "bipartite")),
-              default="isolated", show_default=True)
-@click.option("--size", "size", type=click.IntRange(min=1), default=None,
-              help="part size (default: theta1+1 or -theta2)")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-def enumerate_pairs(family, q, n, m, cap, cache_dir, kind, size, out):
+def enumerate_pairs(args):
     """Exhaustively catalogue isolated-clique or complete-bipartite pairs."""
-    g = _build_or_exit(family, q, n, m, cap)
+    kind, size, out, cache_dir = args.kind, args.size, args.out, args.cache_dir
+    g = _build_or_exit(args.family, args.q, args.n, args.m, args.cap)
     params = g.srg_params()
     spec = graphs.spectrum(params)
     if size is None:
@@ -268,12 +223,9 @@ def enumerate_pairs(family, q, n, m, cap, cache_dir, kind, size, out):
                 "out": str(target) if target else None})
 
 
-@main.command("count-check")
-@_common_options
-@_cache_dir_option(False)
-def count_check(family, q, n, m, cap):
+def count_check(args):
     """Compare the enumerated pair count with the closed formulas (exit 5 on mismatch)."""
-    g = _build_or_exit(family, q, n, m, cap)
+    g = _build_or_exit(args.family, args.q, args.n, args.m, args.cap)
     try:
         comparison = oracle.count_comparison(g)
     except oracle.OracleError as exc:
@@ -283,26 +235,16 @@ def count_check(family, q, n, m, cap):
     raise SystemExit(0 if ok else 5)
 
 
-@main.command()
-@click.option("--graph", "graph_spec", required=True,
-              help="family:n:q, e.g. sp:2:2")
-@click.option("--function", "function_path", required=True,
-              type=click.Path(exists=False, dir_okay=False),
-              help="JSON or CSV eigenfunction; a CSV file has no graph "
-                   "provenance, so it is checked against --graph as given")
-@click.option("--theta", type=int, default=None,
-              help="eigenvalue override (needed for CSV files)")
-@click.option("--cap", type=int, default=VERTEX_CAP, show_default=True)
-@_cache_dir_option(False)
-def verify(graph_spec, function_path, theta, cap):
+def verify(args):
     """Re-check a stored eigenfunction against a freshly built graph."""
+    graph_spec, function_path, theta = args.graph_spec, args.function_path, args.theta
     if theta is None and serialize.is_csv(function_path):
         raise SystemExit(_fail(2, "CSV eigenfunction files need --theta"))
     try:
         family, size, q, n, m = parse_graph_spec(graph_spec)
     except ConfigError as exc:
         raise SystemExit(_fail(2, str(exc)))
-    g = _build_or_exit(family, q, n, m, cap)
+    g = _build_or_exit(family, q, n, m, args.cap)
     try:
         f = serialize.load_eigenfunction(function_path)
     except OSError as exc:
@@ -358,8 +300,100 @@ def _write_or_exit(path, text):
 
 
 def _fail(code: int, message: str) -> int:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _file_name(value: str) -> str:
+    """A file to write or read; naming a directory is a usage error.  An
+    empty name passes (os.path.isdir, unlike Path.is_dir, is false for it)
+    and counts as absent where the command allows that."""
+    if os.path.isdir(value):
+        raise argparse.ArgumentTypeError(f"{value!r} is a directory")
+    return value
+
+
+def _size(value: str) -> int:
+    try:
+        size = int(value)
+    except ValueError:
+        size = 0
+    if size < 1:
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer >= 1")
+    return size
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="polareig", allow_abbrev=False,
+        description="Polar spaces, strongly regular polar graphs, optimal eigenfunctions.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(name, run, cache_dir_used=False, graph_options=True):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run)
+        if graph_options:
+            sub.add_argument("--family", required=True, choices=GRAPH_FAMILIES)
+            sub.add_argument("--q", required=True, type=int,
+                             help=f"field size, a prime power up to {gf.DESK_SCALE_CAP}")
+            sub.add_argument("--n", type=int, help="rank for sp/o+/o/o-/u families")
+            sub.add_argument("--m", type=int, help="half the dimension for vo+/vo-")
+        sub.add_argument("--cap", type=int, default=VERTEX_CAP,
+                         help="vertex cap (default: %(default)s)")
+        # --cache-dir names where enumerate writes its catalogue when --out is
+        # absent; every other command accepts it and ignores it
+        sub.add_argument("--cache-dir", help=(
+            f"catalogue directory when --out is absent (or ${_cache.ENV_VAR})"
+            if cache_dir_used else "ignored: only enumerate writes there"))
+        return sub
+
+    sub = command("build", build)
+    sub.add_argument("--format", dest="fmt", choices=sorted(serialize.GRAPH_FORMATS),
+                     help="also export the graph in this format")
+    sub.add_argument("--out", type=_file_name)
+
+    sub = command("eigenfunction", eigenfunction)
+    sub.add_argument("--construct", required=True, choices=tuple(CONSTRUCTIONS))
+    sub.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
+                     help="(default: %(default)s)")
+    sub.add_argument("--out", type=_file_name)
+
+    sub = command("enumerate", enumerate_pairs, cache_dir_used=True)
+    sub.add_argument("--kind", choices=("isolated", "bipartite"), default="isolated",
+                     help="(default: %(default)s)")
+    sub.add_argument("--size", type=_size,
+                     help="part size (default: theta1+1 or -theta2)")
+    sub.add_argument("--out", type=_file_name)
+
+    command("count-check", count_check)
+
+    sub = command("verify", verify, graph_options=False)
+    sub.add_argument("--graph", dest="graph_spec", required=True,
+                     help="family:n:q, e.g. sp:2:2")
+    sub.add_argument("--function", dest="function_path", required=True,
+                     type=_file_name,
+                     help="JSON or CSV eigenfunction; a CSV file has no graph "
+                          "provenance, so it is checked against --graph as given")
+    sub.add_argument("--theta", type=int,
+                     help="eigenvalue override (needed for CSV files)")
+    return parser
+
+
+def main(argv: list[str] | None = None):
+    """Run one subcommand on argv (default ``sys.argv[1:]``).  Exits through
+    SystemExit with the documented code, or returns on success."""
+    args = _parser().parse_args(argv)
+    try:
+        try:
+            args.run(args)
+        finally:  # a closed pipe shows up here, not at interpreter exit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (`| head`): exit 1 without a traceback, and
+        # send what is still buffered to devnull so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1) from None
 
 
 if __name__ == "__main__":

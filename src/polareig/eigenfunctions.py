@@ -12,13 +12,13 @@ but verification of user-supplied functions must not round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import forms, graphs, linalg
 from .gf import FieldElement, norm_minus_one_unit, norm_one_subgroup
 from .graphs import CliqueInfo, PolarGraph, SrgParams, delsarte_bound
 from .polarspace import SingularSubspace, WrongDimension, bit_indices
+from .record import Record
 
 
 class EigenfunctionError(Exception):
@@ -63,17 +63,29 @@ class TInAffM(EigenfunctionError):
     pass
 
 
-@dataclass
 class Eigenfunction:
-    """Sparse vertex -> rational map with a declared eigenvalue."""
+    """Sparse vertex -> rational map with a declared eigenvalue.
 
-    values: dict[int, Fraction]
-    theta: int
-    graph_ref: dict
+    Mutable (``verify`` overrides ``theta``), so equal by fields but not
+    hashable."""
 
-    def __post_init__(self):
-        self.values = {v: Fraction(c) for v, c in self.values.items()
+    def __init__(self, values: dict[int, Fraction], theta: int, graph_ref: dict):
+        self.values = {v: Fraction(c) for v, c in values.items()
                        if Fraction(c) != 0}
+        self.theta = theta
+        self.graph_ref = graph_ref
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.values, self.theta, self.graph_ref)
+                    == (other.values, other.theta, other.graph_ref))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"Eigenfunction(values={self.values!r}, theta={self.theta!r}, "
+                f"graph_ref={self.graph_ref!r})")
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -91,8 +103,7 @@ class Eigenfunction:
                              self.theta, self.graph_ref)
 
 
-@dataclass(frozen=True)
-class WdbReport:
+class WdbReport(Record):
     theta: int
     bound: int | None
     support_size: int

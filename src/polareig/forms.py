@@ -11,11 +11,11 @@ indices: B(u, w) = u . kernel_row_i(form, w).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .gf import FieldContext, FieldElement
 from . import linalg
+from .record import Record
 
 
 FAMILIES = ("sp", "o+", "o", "o-", "u")
@@ -41,8 +41,7 @@ class ParabolicEvenCharacteristic(FormError):
     pass
 
 
-@dataclass(frozen=True)
-class Form:
+class Form(Record):
     """A nondegenerate form of one of the Table-style families.
 
     ``matrix`` holds canonical element indices: the upper-triangular

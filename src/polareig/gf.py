@@ -17,8 +17,9 @@ is a lookup in them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+
+from .record import Record
 
 
 # Every field gets dense q-by-q add and mul tables, so the order is capped;
@@ -462,8 +463,7 @@ def primitive_element(ctx: FieldContext) -> FieldElement:
     return ctx.element(ctx._primitive_index)
 
 
-@dataclass(frozen=True)
-class NormOneSubgroup:
+class NormOneSubgroup(Record):
     """The subgroup of GF(q)* killed by the norm to GF(sqrt(q))."""
 
     ctx: FieldContext

@@ -10,7 +10,6 @@ the bit-sliced counter ``polarspace.counter_planes``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -18,6 +17,7 @@ from math import isqrt
 from . import forms, polarspace
 from .gf import FieldContext
 from .polarspace import PolarSpace, bit_indices, counter_planes, counts_differ
+from .record import Record
 
 
 class GraphError(Exception):
@@ -48,8 +48,7 @@ class FewerThanTwoCliques(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class SrgParams:
+class SrgParams(Record):
     v: int
     k: int
     lam: int
@@ -59,16 +58,14 @@ class SrgParams:
         return (self.v, self.k, self.lam, self.mu)
 
 
-@dataclass(frozen=True)
-class SpectrumInfo:
+class SpectrumInfo(Record):
     theta1: int
     theta2: int
     m1: int
     m2: int
 
 
-@dataclass(frozen=True)
-class CliqueInfo:
+class CliqueInfo(Record):
     vertices: tuple[int, ...]
     is_delsarte: bool
     nexus: int | None
@@ -431,51 +428,3 @@ def max_intersecting_delsarte_pair(g: PolarGraph) -> tuple[CliqueInfo, CliqueInf
     if best is None:
         raise FewerThanTwoCliques(f"found {len(found)} Delsarte cliques")
     return best
-
-
-def maximal_cliques(g: PolarGraph) -> list[tuple[int, ...]]:
-    """All maximal cliques (Bron-Kerbosch with pivoting), sorted."""
-    adj = g.adj
-    out = []
-
-    def bk(r: int, p: int, x: int):
-        if p == 0 and x == 0:
-            out.append(bit_indices(r))
-            return
-        pivot_pool = p | x
-        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
-        best = -1
-        for u in bit_indices(pivot_pool):
-            c = (p & adj[u]).bit_count()
-            if c > best:
-                best, pivot = c, u
-        for v in bit_indices(p & ~adj[pivot]):
-            vb = 1 << v
-            bk(r | vb, p & adj[v], x & adj[v])
-            p &= ~vb
-            x |= vb
-
-    bk(0, (1 << g.n) - 1, 0)
-    out.sort()
-    return out
-
-
-def charpoly_root_check(g: PolarGraph, theta: int) -> bool:
-    """det(A - theta I) == 0 by exact fraction-free (Bareiss) elimination."""
-    n = g.n
-    m = [[(1 if g.adj[i] >> j & 1 else 0) - (theta if i == j else 0)
-          for j in range(n)] for i in range(n)]
-    prev = 1
-    for col in range(n - 1):
-        if m[col][col] == 0:
-            swap = next((r for r in range(col + 1, n) if m[r][col]), None)
-            if swap is None:
-                return True  # a zero column: determinant vanishes
-            # row swap only flips the sign, which zeroness ignores
-            m[col], m[swap] = m[swap], m[col]
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    return m[n - 1][n - 1] == 0

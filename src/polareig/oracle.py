@@ -18,13 +18,13 @@ authoritative and the disagreement is reported as data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from . import forms, graphs, linalg
 from .graphs import PolarGraph
 from .polarspace import (NotPairwiseCollinear, PolarSpace, bit_indices,
                          counter_planes, counts_differ, q_power)
+from .record import Record
 
 
 class OracleError(Exception):
@@ -37,8 +37,7 @@ class WitnessNotFound(OracleError):
         super().__init__(f"no witness decomposition for the pair {pair}")
 
 
-@dataclass(frozen=True)
-class PairCatalog:
+class PairCatalog(Record):
     kind: str  # "isolated_cliques" | "complete_bipartite"
     s: int
     pairs: tuple  # ((t0, t1), ...) with t0, t1 sorted vertex tuples, t0 < t1
@@ -56,8 +55,7 @@ class PairCatalog:
         return out
 
 
-@dataclass(frozen=True)
-class CharacterisationReport:
+class CharacterisationReport(Record):
     total: int
     matched: int
     counterexamples: tuple
@@ -68,8 +66,7 @@ class CharacterisationReport:
         return not self.counterexamples
 
 
-@dataclass(frozen=True)
-class CountComparison:
+class CountComparison(Record):
     family: str
     q: int
     m_or_n: int

@@ -25,7 +25,6 @@ downstream computation reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product, zip_longest
@@ -33,6 +32,7 @@ from math import isqrt
 
 from . import forms, linalg
 from .forms import Form
+from .record import Record
 
 
 class PolarSpaceError(Exception):
@@ -63,8 +63,7 @@ class LevelCountMismatch(PolarSpaceError):
     pass
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(Record):
     """A singular projective point, normalised so its first nonzero coordinate is 1."""
 
     rep: tuple
@@ -74,8 +73,7 @@ class ProjectivePoint:
         return linalg.vec_key(self.rep)
 
 
-@dataclass(frozen=True)
-class SingularSubspace:
+class SingularSubspace(Record):
     """A totally singular subspace in canonical reduced-echelon form."""
 
     basis: tuple
@@ -94,8 +92,7 @@ class SingularSubspace:
         return tuple(linalg.vec_key(r) for r in self.basis)
 
 
-@dataclass(frozen=True)
-class PolarSpaceDescriptor:
+class PolarSpaceDescriptor(Record):
     family: str
     q: int
     rank: int
@@ -434,26 +431,6 @@ class PolarSpace:
         for p in L.point_indices():
             perp &= collin[p]
         return [self._subspace(basis) for basis in self._bases(n - 1, perp | L.point_bits)]
-
-    def difference_pairs(self, L: SingularSubspace):
-        """Unordered pairs {M minus L, N minus L} over distinct maximals through L.
-
-        Requires proj_dim(L) = n-2; yields choose(t+1, 2) pairs of point-index
-        tuples in canonical order.
-        """
-        n = self.rank()
-        if L.proj_dim != n - 2:
-            raise WrongDimension(
-                f"need projective dimension {n - 2}, got {L.proj_dim}")
-        sigma = self.maximals_containing(L)
-        pairs = []
-        for i in range(len(sigma)):
-            for j in range(i + 1, len(sigma)):
-                a = bit_indices(sigma[i].point_bits & ~L.point_bits)
-                b = bit_indices(sigma[j].point_bits & ~L.point_bits)
-                pairs.append((a, b) if a <= b else (b, a))
-        pairs.sort()
-        return pairs
 
     def span_closure(self, *point_groups) -> SingularSubspace:
         """Smallest singular subspace containing the given points.

@@ -1,8 +1,51 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
+
 import pytest
 
-from polareig import forms, graphs, linalg, polarspace
+from polareig import cli, forms, graphs, linalg, polarspace
 from polareig.gf import field_new
 from polareig.polarspace import bit_indices
+
+
+class _Tee(io.StringIO):
+    """One stream's text, also appended to the shared record of both."""
+
+    def __init__(self, both):
+        super().__init__()
+        self.both = both
+
+    def write(self, text):
+        self.both.write(text)
+        return super().write(text)
+
+
+def run(*argv):
+    """Run ``polareig`` in process on argv, with the contract of click's
+    CliRunner: ``exit_code``; ``output`` (stdout and stderr interleaved);
+    ``stdout``; ``stderr``; and ``exception``, which holds a non-zero
+    SystemExit, or any other exception, which gives exit code 1."""
+    both = io.StringIO()
+    out, err = _Tee(both), _Tee(both)
+    exception = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            cli.main(list(argv))
+            code = 0
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+            if code != 0:
+                exception = exc
+            if not isinstance(code, int):
+                print(code)
+                code = 1
+        except Exception as exc:
+            exception = exc
+            code = 1
+    return SimpleNamespace(exit_code=code, output=both.getvalue(),
+                           stdout=out.getvalue(), stderr=err.getvalue(),
+                           exception=exception)
 
 
 def make_space(family, dim, p, k=1):
@@ -90,6 +133,78 @@ def vo_minus_3():
 
 def pentagon():
     return graphs.graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+
+
+def maximal_cliques(g):
+    """All maximal cliques (Bron-Kerbosch with pivoting), sorted; a test
+    helper, since only tests list maximal cliques."""
+    adj = g.adj
+    out = []
+
+    def bk(r, p, x):
+        if p == 0 and x == 0:
+            out.append(bit_indices(r))
+            return
+        pivot_pool = p | x
+        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
+        best = -1
+        for u in bit_indices(pivot_pool):
+            c = (p & adj[u]).bit_count()
+            if c > best:
+                best, pivot = c, u
+        for v in bit_indices(p & ~adj[pivot]):
+            vb = 1 << v
+            bk(r | vb, p & adj[v], x & adj[v])
+            p &= ~vb
+            x |= vb
+
+    bk(0, (1 << g.n) - 1, 0)
+    out.sort()
+    return out
+
+
+def charpoly_root_check(g, theta):
+    """det(A - theta I) == 0 by exact fraction-free (Bareiss) elimination; a
+    test helper that checks the spectra against the characteristic
+    polynomial."""
+    n = g.n
+    m = [[(1 if g.adj[i] >> j & 1 else 0) - (theta if i == j else 0)
+          for j in range(n)] for i in range(n)]
+    prev = 1
+    for col in range(n - 1):
+        if m[col][col] == 0:
+            swap = next((r for r in range(col + 1, n) if m[r][col]), None)
+            if swap is None:
+                return True  # a zero column: determinant vanishes
+            # row swap only flips the sign, which zeroness ignores
+            m[col], m[swap] = m[swap], m[col]
+        for r in range(col + 1, n):
+            for c in range(col + 1, n):
+                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
+            m[r][col] = 0
+        prev = m[col][col]
+    return m[n - 1][n - 1] == 0
+
+
+def difference_pairs(space, L):
+    """Unordered pairs {M minus L, N minus L} over distinct maximals through L.
+
+    Requires proj_dim(L) = n-2; gives choose(t+1, 2) pairs of point-index
+    tuples in canonical order.  A test helper for the polar witness.
+    """
+    n = space.rank()
+    if L.proj_dim != n - 2:
+        raise polarspace.WrongDimension(
+            f"need projective dimension {n - 2}, got {L.proj_dim}")
+    sigma = space.maximals_containing(L)
+    pairs = []
+    for i in range(len(sigma)):
+        for j in range(i + 1, len(sigma)):
+            a = bit_indices(sigma[i].point_bits & ~L.point_bits)
+            b = bit_indices(sigma[j].point_bits & ~L.point_bits)
+            pairs.append((a, b) if a <= b else (b, a))
+    pairs.sort()
+    return pairs
 
 
 def reference_rref(rows):

@@ -12,12 +12,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from click.testing import CliRunner
-
-from conftest import intersection_rows
+from conftest import intersection_rows, maximal_cliques, run
 from polareig import cache, eigenfunctions as ef
 from polareig import forms, graphs, linalg, oracle, polarspace, serialize
-from polareig.cli import main as cli_main
 from polareig.gf import field_new, frobenius_sqrt
 from polareig.graphs import RankTooLow
 
@@ -339,7 +336,7 @@ def test_criterion6_shift_automorphisms_and_maximal_cliques(grid):
                     g.vec_index[tuple(ctx.add_i(a, b) for a, b in zip(v, w))]
                     for w in aff)
                 cosets.setdefault(coset, set()).add(M.key)
-        found = {frozenset(c) for c in graphs.maximal_cliques(g)}
+        found = {frozenset(c) for c in maximal_cliques(g)}
         assert found == set(cosets)
         assert all(len(ms) == 1 for ms in cosets.values())
     _passed("C6 shift automorphisms and unique maximal-clique decomposition")
@@ -403,10 +400,8 @@ def test_criterion7_reruns_are_byte_identical(tmp_path):
         (run_dir / "function.json").write_text(serialize.eigenfunction_json(f))
         snapshots.append({p.name: p.read_bytes() for p in run_dir.iterdir()})
     assert snapshots[0] == snapshots[1]
-    runner = CliRunner()
     outputs = {
-        runner.invoke(cli_main, ["count-check", "--family", "vo-", "--m", "2",
-                                 "--q", "2"]).output
+        run("count-check", "--family", "vo-", "--m", "2", "--q", "2").output
         for _ in range(3)
     }
     assert len(outputs) == 1

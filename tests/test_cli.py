@@ -1,25 +1,24 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from click.testing import CliRunner
 
-from polareig import cli, polarspace, serialize
-from polareig.cli import main
+from conftest import run
+import polareig
+from polareig import cache, cli, polarspace, serialize
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
 
 def load_schema(name):
     return json.loads((SCHEMAS / name).read_text())
-
-
-def run(*args):
-    return CliRunner().invoke(main, list(args))
 
 
 def check(result, schema_name):
@@ -391,6 +390,126 @@ def test_verify_names_both_graphs_on_a_mismatch(tmp_path):
     result = run("verify", "--graph", "o-:2:2", "--function", _sp22_function(tmp_path))
     assert result.exit_code == 2
     assert '"family":"sp"' in result.output and '"family":"o-"' in result.output
+
+
+SP22 = ("--family", "sp", "--n", "2", "--q", "2")
+
+
+def _directory(tmp_path):  # an existing directory, so not a file name
+    return str(tmp_path)
+
+
+# usage errors the table above does not cover; each exited 2 under the
+# earlier click front end too
+USAGE_ERRORS = [
+    (),  # no subcommand
+    ("nope",),
+    ("bui", *SP22),  # a subcommand is never abbreviated
+    ("build", *SP22, "--bogus"),
+    ("build", "--fam", "sp", "--q", "2"),  # nor is an option
+    ("build", "--fam=sp", "--q=2"),
+    ("build", *SP22, "--for", "json"),
+    ("eigenfunction", *SP22, "--constr", "theta1-polar"),
+    ("build", *SP22, "extra"),
+    ("build", "--q", "2"),
+    ("build", "--family", "sp"),
+    ("build", "--family", "sp", "--q"),
+    ("eigenfunction", *SP22),
+    ("verify", "--graph", "sp:2:2"),
+    ("verify", "--function", "f.json"),
+    ("build", "--family", "spx", "--q", "2"),
+    ("build", "--family", "", "--q", "2"),
+    ("eigenfunction", *SP22, "--construct", "theta3"),
+    ("eigenfunction", *SP22, "--construct", "theta1-polar", "--format", "edges"),
+    ("enumerate", *SP22, "--kind", "other"),
+    ("build", *SP22, "--format", "dot"),
+    ("build", "--family", "sp", "--q", "two"),
+    ("build", "--family", "sp", "--q", "2.0"),
+    ("build", "--family", "sp", "--q", "2", "--n", "x"),
+    ("build", "--family", "vo+", "--q", "2", "--m", "1.5"),
+    ("build", *SP22, "--cap", "1e3"),
+    ("enumerate", *SP22, "--size", "x"),
+    ("verify", "--graph", "sp:2:2", "--function", "f.json", "--theta", "1/2"),
+    ("build", *SP22, "--format", "json", "--out", _directory),  # exit 2, not 6
+    ("eigenfunction", *SP22, "--construct", "theta1-polar", "--out", _directory),
+    ("enumerate", *SP22, "--out", _directory),
+    ("verify", "--graph", "sp:2:2", "--function", _directory),
+]
+
+
+@pytest.mark.parametrize("args", USAGE_ERRORS, ids=lambda a: " ".join(
+    "DIR" if callable(x) else x for x in a) or "(none)")
+def test_usage_errors_exit_2_before_anything_is_built(args, tmp_path, monkeypatch):
+    def refuse(*a, **k):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(cli, "build_graph", refuse)
+    result = run(*[a(tmp_path) if callable(a) else a for a in args])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: polareig")
+
+
+@pytest.mark.parametrize("command", [(), ("build",), ("eigenfunction",),
+                                     ("enumerate",), ("count-check",), ("verify",)])
+def test_help_exits_0(command):
+    result = run(*command, "--help")
+    assert result.exit_code == 0 and result.exception is None
+    assert result.stdout.startswith("usage: polareig")
+
+
+@pytest.mark.parametrize("args", [
+    ("build", *SP22),
+    ("eigenfunction", *SP22, "--construct", "theta1-polar"),
+    ("enumerate", *SP22),
+    ("count-check", *SP22),
+    ("verify", "--graph", "sp:2:2", "--function", "f.json"),
+])
+def test_every_command_accepts_cache_dir_and_only_enumerate_writes_there(
+        args, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cache.ENV_VAR, raising=False)
+    assert run("eigenfunction", *SP22, "--construct", "theta1-polar",
+               "--out", "f.json").exit_code == 0
+    without = run(*args)
+    result = run(*args, "--cache-dir", "cache")
+    assert result.exit_code == without.exit_code == 0, result.output
+    written = sorted(p.name for p in (tmp_path / "cache").glob("*"))
+    if args[0] == "enumerate":
+        assert written == ["catalog_sp_d4_p2k1_isolated_cliques_s2.jsonl"]
+        assert result.stdout == without.stdout.replace(
+            '"out":null', '"out":"cache/catalog_sp_d4_p2k1_isolated_cliques_s2.jsonl"')
+    else:
+        assert written == [] and result.stdout == without.stdout
+
+
+def _src_env():
+    return {**os.environ, "PYTHONPATH": str(Path(polareig.__file__).resolve().parent.parent)}
+
+
+def test_a_reader_closing_stdout_early_ends_the_command_with_exit_1_quietly():
+    # the sp:3:3 json export is about 200 kB, more than a pipe holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polareig.cli", "build", "--family", "sp", "--n", "3",
+         "--q", "3", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
+    assert proc.stdout.read(10) == b'{"delsarte'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
+def test_importing_the_cli_loads_neither_click_nor_dataclasses():
+    # a fresh interpreter without site hooks, so only the package's own
+    # imports count
+    code = ("import sys, polareig.cli; "
+            "print(sorted({'click', 'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=_src_env(), check=True)
+    assert proc.stdout == "[]\n"
 
 
 @st.composite

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    _reference_independent_sets, make_collinearity, pentagon, reference_cliques,
+    _reference_independent_sets, charpoly_root_check, make_collinearity,
+    maximal_cliques, pentagon, reference_cliques,
 )
 from polareig import cli, forms, graphs, linalg
 from polareig.gf import field_new
 from polareig.graphs import (
     CliqueInfo, FewerThanTwoCliques, Imprimitive, IrrationalEigenvalues,
     NotRegular, NotStronglyRegular, RankTooLow, SrgParams,
-    affine_polar_graph, charpoly_root_check, cliques_of_size, delsarte_cliques,
-    graph_from_edges, max_intersecting_delsarte_pair, maximal_cliques,
-    spectrum, srg_check,
+    affine_polar_graph, cliques_of_size, delsarte_cliques,
+    graph_from_edges, max_intersecting_delsarte_pair, spectrum, srg_check,
 )
 from polareig.polarspace import bit_indices, counter_planes
 

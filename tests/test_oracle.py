@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_bipartite_pairs, reference_isolated_pairs
+from conftest import (difference_pairs, reference_bipartite_pairs,
+                      reference_isolated_pairs)
 from polareig import cache, eigenfunctions as ef, graphs, linalg, oracle, serialize
 from polareig.cli import build_graph
 from polareig.graphs import graph_from_edges
@@ -120,7 +121,7 @@ def test_characterisation_raises_on_a_fake_pair(sp42):
 def test_polar_witness_identifies_the_difference_pair(sp42):
     space = sp42.space
     L = space.subspaces(0)[0]
-    t0, t1 = space.difference_pairs(L)[0]
+    t0, t1 = difference_pairs(space, L)[0]
     witness = oracle._polar_witness(space, list(t0), list(t1))
     assert witness is not None
     assert witness["L"] == L.key

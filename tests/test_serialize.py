@@ -9,8 +9,8 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from click.testing import CliRunner
 
+from conftest import run
 from polareig import cache, cli, oracle, serialize
 from polareig.graphs import graph_from_edges
 
@@ -140,8 +140,7 @@ def test_enumerate_with_no_target_renders_no_catalogue_line(monkeypatch):
 
     monkeypatch.delenv(cache.ENV_VAR, raising=False)
     monkeypatch.setattr(serialize, "catalog_json_lines", refuse)
-    result = CliRunner().invoke(cli.main, ["enumerate", "--family", "sp", "--n", "2",
-                                           "--q", "3"])
+    result = run("enumerate", "--family", "sp", "--n", "2", "--q", "3")
     assert result.exit_code == 0, result.output
     assert '"counts":{"total":240}' in result.output and '"out":null' in result.output
 
