@@ -387,13 +387,14 @@ def main(argv: list[str] | None = None):
     try:
         try:
             args.run(args)
-        finally:  # a closed pipe shows up here, not at interpreter exit
+        finally:  # a failed write to stdout shows up here, not at interpreter exit
             sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader went away (`| head`): exit 1 without a traceback, and
+    except OSError as exc:
         # send what is still buffered to devnull so the exit flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise SystemExit(1) from None
+        if isinstance(exc, BrokenPipeError):  # the reader went away (`| head`)
+            raise SystemExit(1) from None
+        raise SystemExit(_fail(6, f"cannot write to stdout: {exc}")) from None
 
 
 if __name__ == "__main__":

@@ -15,9 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import forms, graphs, linalg
+from .bitsets import bit_indices, bits_of
 from .gf import FieldElement, norm_minus_one_unit, norm_one_subgroup
 from .graphs import CliqueInfo, PolarGraph, SrgParams, delsarte_bound
-from .polarspace import SingularSubspace, WrongDimension, bit_indices
+from .polarspace import SingularSubspace, WrongDimension
 from .record import Record
 
 
@@ -333,15 +334,13 @@ def theta1_from_clique_pair(g: PolarGraph, C0, C1) -> Eigenfunction:
     inter = size - (spec.theta1 + 1)
     bits = []
     for C in (C0, C1):
-        b = 0
-        for x in (C.vertices if isinstance(C, CliqueInfo) else C):
+        members = tuple(C.vertices if isinstance(C, CliqueInfo) else C)
+        for x in members:
             if not 0 <= x < g.n:
                 raise NotDelsarte(f"vertex {x} outside graph of order {g.n}")
-            b |= 1 << x
-        members = bit_indices(b)
-        if len(members) != size or any(
-                not g.are_adjacent(x, y)
-                for i, x in enumerate(members) for y in members[i + 1:]):
+        b = bits_of(members)
+        # a clique: each member's non-neighbours in b are the member alone
+        if b.bit_count() != size or any(b & ~g.adj[x] != 1 << x for x in members):
             raise NotDelsarte(f"expected a clique of size {size}")
         bits.append(b)
     b0, b1 = bits
@@ -386,11 +385,7 @@ def unitary_pair_parts(f: Eigenfunction) -> tuple[tuple[int, ...], tuple[int, ..
 
 def outside_neighbour_counts(g: PolarGraph, t0, t1) -> list[tuple[int, int, int]]:
     """(vertex, |N(v) ∩ T0|, |N(v) ∩ T1|) for every vertex outside T0 ∪ T1."""
-    b0 = b1 = 0
-    for x in t0:
-        b0 |= 1 << x
-    for x in t1:
-        b1 |= 1 << x
+    b0, b1 = bits_of(t0), bits_of(t1)
     out = []
     for u in range(g.n):
         if (b0 | b1) >> u & 1:

@@ -242,11 +242,6 @@ def eval_pairing(form: Form, u, w) -> FieldElement:
     return form.ctx.element(bilinear_i(form, _idx(u), _idx(w)))
 
 
-def is_singular_vector(form: Form, v) -> bool:
-    _check_vec(form, v)
-    return singular_i(form, _idx(v))
-
-
 def perp_i(form: Form, vectors) -> tuple[tuple[int, ...], ...]:
     """rref basis of {u : B(u, s) = 0 for all s in vectors}, on index tuples."""
     return linalg.null_space_i(form.ctx, [kernel_row_i(form, v) for v in vectors],
@@ -276,16 +271,3 @@ def is_totally_singular(form: Form, basis) -> bool:
     """Q (or H(., .)) vanishes on the whole span of element rows."""
     return totally_singular_i(form, [_idx(r) for r in basis])
 
-
-def form_to_json(form: Form) -> dict:
-    return {
-        "kind": form.kind,
-        "family": form.family,
-        "dim": form.dim,
-        "epsilon": form.epsilon,
-        "q": form.ctx.q,
-        "p": form.ctx.p,
-        "k": form.ctx.k,
-        "modulus": list(form.ctx.modulus),
-        "coefficients": [list(row) for row in form.matrix],
-    }

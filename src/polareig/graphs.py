@@ -5,7 +5,7 @@ graphs on the full vector space (x ~ y iff Q(x - y) = 0), and the rank-2
 hermitian graph on the isotropic points of GF(q)^4 for square q.
 Adjacency is a dense bitset row per vertex.  The strongly regular check
 counts the common neighbours of one vertex with every other at once, with
-the bit-sliced counter ``polarspace.counter_planes``.
+the bit-sliced counter ``bitsets.counter_planes``.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt
 
-from . import forms, polarspace
+from . import bitsets, forms, polarspace
 from .gf import FieldContext
-from .polarspace import PolarSpace, bit_indices, counter_planes, counts_differ
+from .polarspace import PolarSpace
 from .record import Record
 
 
@@ -74,10 +74,7 @@ class CliqueInfo(Record):
         return len(self.vertices)
 
     def bits(self) -> int:
-        out = 0
-        for v in self.vertices:
-            out |= 1 << v
-        return out
+        return bitsets.bits_of(self.vertices)
 
 
 class PolarGraph:
@@ -114,12 +111,12 @@ class PolarGraph:
         return self.adj[i].bit_count()
 
     def neighbours(self, i: int) -> list[int]:
-        return list(bit_indices(self.adj[i]))
+        return list(bitsets.bit_indices(self.adj[i]))
 
     def edges(self):
         for i in range(self.n):
             bits = self.adj[i] >> (i + 1) << (i + 1)
-            for j in bit_indices(bits):
+            for j in bitsets.bit_indices(bits):
                 yield (i, j)
 
 
@@ -173,13 +170,8 @@ def affine_polar_graph(m: int, epsilon: int, ctx: FieldContext) -> PolarGraph:
     # Cayley graph over (V, +): connection set = nonzero singular vectors
     diffs = [v for v in vecs if any(v) and forms.singular_i(form, v)]
     add = ctx.add_i
-    adj = [0] * len(vecs)
-    for i, x in enumerate(vecs):
-        row = 0
-        for dv in diffs:
-            y = tuple(add(a, b) for a, b in zip(x, dv))
-            row |= 1 << index[y]
-        adj[i] = row
+    adj = [bitsets.bits_of(index[tuple(map(add, x, dv))] for dv in diffs)
+           for x in vecs]
     prov = {
         "family": family,
         "kind": "affine",
@@ -211,20 +203,6 @@ def unitary_graph(ctx: FieldContext) -> PolarGraph:
 
 # -- strongly regular machinery ---------------------------------------------------
 
-def _connected(adj: list[int], n: int) -> bool:
-    if n == 0:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for i in bit_indices(frontier):
-            nxt |= adj[i]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
-
-
 def srg_check(g: PolarGraph) -> SrgParams:
     """Exhaustively verify strong regularity; returns the parameter tuple.
 
@@ -241,10 +219,10 @@ def srg_check(g: PolarGraph) -> SrgParams:
     for i in range(1, n):
         if adj[i].bit_count() != k:
             raise NotRegular(f"vertex {i} has degree {adj[i].bit_count()} != {k}")
-    if not _connected(adj, n):
+    if not bitsets.connected(adj, n):
         raise Imprimitive("graph is disconnected")
-    comp = complement(adj)
-    if not _connected(comp, n):
+    comp = bitsets.complement(adj)
+    if not bitsets.connected(comp, n):
         raise Imprimitive("complement is disconnected")
     if not adj[0] or not comp[0]:
         raise Imprimitive("graph or complement is complete")
@@ -256,11 +234,11 @@ def srg_check(g: PolarGraph) -> SrgParams:
     lam_planes = [-(lam >> b & 1) for b in range(lam.bit_length())]
     mu_planes = [-(mu >> b & 1) for b in range(mu.bit_length())]
     for i in range(n):
-        planes = counter_planes(adj, adj[i])
+        planes = bitsets.counter_planes(adj, adj[i])
         # a pair (i, j) with j < i was checked on row j, so a first failure
         # on row i lies above i
-        bad = (counts_differ(planes, lam_planes, adj[i])
-               | counts_differ(planes, mu_planes, comp[i]))
+        bad = (bitsets.counts_differ(planes, lam_planes, adj[i])
+               | bitsets.counts_differ(planes, mu_planes, comp[i]))
         if bad:
             j = (bad & -bad).bit_length() - 1
             c = (adj[i] & adj[j]).bit_count()
@@ -298,72 +276,9 @@ def delsarte_bound(params: SrgParams, spec: SpectrumInfo) -> Fraction:
     return 1 + Fraction(params.k, -spec.theta2)
 
 
-def complement(adj: list[int]) -> list[int]:
-    """Neighbour bitsets of the complement graph."""
-    full = (1 << len(adj)) - 1
-    return [full ^ row ^ (1 << i) for i, row in enumerate(adj)]
-
-
-def cliques_within(adj: list[int], pool: int, s: int, keep: list[int] | None = None):
-    """Bitsets of all s-cliques inside the vertex bitset pool, generated one
-    at a time in increasing vertex-tuple order ({0,5} before {1,2}).
-
-    adj[v] is the neighbour bitset of v; only its bits above v are read, and
-    it may reach outside pool, since each clique's vertices are drawn from
-    pool alone.  Nothing is generated when s < 1.
-
-    With a per-vertex mask list keep, a clique carries kept: the vertices
-    above its least vertex that lie in keep[v] for every member v, the pool
-    of a partner s-set.  kept only shrinks as the clique grows, so a branch
-    is dropped once kept holds fewer than s vertices, and (clique, kept) is
-    generated for every clique that keeps at least s.  keep must be
-    symmetric (u in keep[v] exactly when v in keep[u]), as an adjacency or
-    its complement is: once kept holds exactly s vertices, the later
-    members are drawn from keep[u] for every u in kept.
-    """
-    tries = pool.bit_count() - s + 1
-    if s < 1 or tries < 1:
-        return
-    # depth-first over the cliques' sorted vertex tuples.  At depth d the
-    # first d members are chosen: rest holds the vertices above the last one
-    # that extend them, kept their mask, and tries the pops left in rest
-    # that still leave the s - d - 1 vertices the clique needs after them
-    bits, rest, kept, mask, spare = 0, pool, -1, -1, 1  # without keep: kept -1, spare 1
-    stack, last, depth = [], s - 1, 0
-    while True:
-        while tries:
-            tries -= 1
-            lsb = rest & -rest
-            rest ^= lsb
-            v = lsb.bit_length() - 1
-            if keep is not None:
-                # above the least member: the bits from lsb << 1 up
-                mask = keep[v] & (kept if depth else -(lsb << 1))
-                spare = mask.bit_count() - s
-                if spare < 0:
-                    continue
-            if depth == last:
-                yield bits | lsb if keep is None else (bits | lsb, mask)
-                continue
-            nxt = rest & adj[v]
-            if not spare:
-                # mask must stay whole: by symmetry, later members lie in every keep[u]
-                for u in bit_indices(mask):
-                    nxt &= keep[u]
-            more = nxt.bit_count() + depth + 2 - s
-            if more > 0:
-                stack.append((bits, rest, kept, tries))
-                bits, rest, kept, tries = bits | lsb, nxt, mask, more
-                depth += 1
-        if not depth:
-            return
-        depth -= 1
-        bits, rest, kept, tries = stack.pop()
-
-
 def cliques_of_size(g: PolarGraph, s: int) -> list[int]:
     """Bitsets of all s-cliques, in increasing vertex-tuple order."""
-    return list(cliques_within(g.adj, (1 << g.n) - 1, s))
+    return list(bitsets.cliques_within(g.adj, (1 << g.n) - 1, s))
 
 
 def _sized_cliques(g: PolarGraph, params: SrgParams | None = None,
@@ -377,11 +292,11 @@ def _sized_cliques(g: PolarGraph, params: SrgParams | None = None,
         return
     nexus = Fraction(params.mu, -spec.theta2)
     count = int(nexus) if nexus.denominator == 1 else None
-    for bits in cliques_within(g.adj, (1 << g.n) - 1, int(bound)):
+    for bits in bitsets.cliques_within(g.adj, (1 << g.n) - 1, int(bound)):
         ok = count is not None and all(
             (g.adj[u] & bits).bit_count() == count
             for u in range(g.n) if not bits >> u & 1)
-        yield CliqueInfo(bit_indices(bits), ok, count if ok else None)
+        yield CliqueInfo(bitsets.bit_indices(bits), ok, count if ok else None)
 
 
 def delsarte_cliques(g: PolarGraph, params: SrgParams | None = None,

@@ -4,7 +4,7 @@ Everything here is exhaustive enumeration at desk scale: catalogues of
 isolated clique pairs and induced complete bipartite pairs, witness
 decompositions for every catalogued pair, and cross-checks of the closed
 counting formulas against the enumerated counts.  Both pair scans run one
-loop, `graphs.cliques_within` given a keep mask: each first part grows from
+loop, `bitsets.cliques_within` given a keep mask: each first part grows from
 its least vertex and carries, above that vertex, the pool where its
 partners may lie, and a branch is dropped once the pool holds fewer than s
 vertices.  An isolated clique keeps the vertices off it and its
@@ -21,9 +21,10 @@ from __future__ import annotations
 from math import comb
 
 from . import forms, graphs, linalg
+from .bitsets import (bit_indices, cliques_within, complement, counter_planes,
+                      counts_differ)
 from .graphs import PolarGraph
-from .polarspace import (NotPairwiseCollinear, PolarSpace, bit_indices,
-                         counter_planes, counts_differ, q_power)
+from .polarspace import NotPairwiseCollinear, PolarSpace, q_power
 from .record import Record
 
 
@@ -106,11 +107,10 @@ def enumerate_isolated_clique_pairs(g: PolarGraph, s: int) -> PairCatalog:
     adj = g.adj
     pairs = []
     # partners lie off the clique and its neighbourhood, above its least vertex
-    for ci, allowed in graphs.cliques_within(adj, (1 << g.n) - 1, s,
-                                             graphs.complement(adj)):
+    for ci, allowed in cliques_within(adj, (1 << g.n) - 1, s, complement(adj)):
         t0 = bit_indices(ci)
         pairs.extend((t0, bit_indices(cj))
-                     for cj in graphs.cliques_within(adj, allowed, s))
+                     for cj in cliques_within(adj, allowed, s))
     return PairCatalog("isolated_cliques", s, tuple(pairs), None)
 
 
@@ -125,13 +125,13 @@ def enumerate_bipartite_pairs(g: PolarGraph, s: int) -> PairCatalog:
         raise OracleError("s must be >= 1")
     adj = g.adj
     full = (1 << g.n) - 1
-    comp_adj = graphs.complement(adj)
+    comp_adj = complement(adj)
     pairs, regular = [], []
     # the whole partner lies in the first part's common neighbours above its lead
-    for a, common in graphs.cliques_within(comp_adj, full, s, adj):
+    for a, common in cliques_within(comp_adj, full, s, adj):
         t0 = bit_indices(a)
         planes_a = counter_planes(adj, a)
-        for b in graphs.cliques_within(comp_adj, common, s):
+        for b in cliques_within(comp_adj, common, s):
             pairs.append((t0, bit_indices(b)))
             regular.append(
                 not counts_differ(planes_a, counter_planes(adj, b), full ^ a ^ b))

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product, zip_longest
+from itertools import product
 from math import isqrt
 
-from . import forms, linalg
+from . import bitsets, forms, linalg
 from .forms import Form
 from .record import Record
 
@@ -85,7 +85,7 @@ class SingularSubspace(Record):
         return len(self.basis)
 
     def point_indices(self) -> tuple[int, ...]:
-        return bit_indices(self.point_bits)
+        return bitsets.bit_indices(self.point_bits)
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The basis as rows of element indices."""
@@ -276,8 +276,7 @@ class PolarSpace:
                 multiples = [[mul[c][a] for a in row] for c in scalars]
                 vecs += [tuple(add[a][b] for a, b in zip(v, m))
                          for v in vecs for m in multiples]
-            for v in vecs:
-                bits |= 1 << lookup[v]
+            bits |= bitsets.bits_of(map(lookup.__getitem__, vecs))
         return bits
 
     def _subspace(self, basis) -> SingularSubspace:
@@ -315,15 +314,11 @@ class PolarSpace:
         room = [sum(pivot_at[:dim - d + r]) for r in range(d + 1)]
 
         def grow(rows, cand):
-            allowed = cand & room[len(rows)]
-            while allowed:
-                low = allowed & -allowed
-                p = low.bit_length() - 1
+            for p in bitsets.bit_indices(cand & room[len(rows)]):
                 if len(rows) == d:
                     yield rows + (keys[p],)
                 else:
                     yield from grow(rows + (keys[p],), cand & follow[p])
-                allowed ^= low
 
         return grow((), cand)
 
@@ -391,7 +386,9 @@ class PolarSpace:
         else:
             # t+1 counted over the enumerated top level: a check of the
             # enumeration, which maximals_containing does not read
-            counts = set(containing_counts(self.subspaces(n - 2), self.maximals()))
+            counts = set(bitsets.containing_counts(
+                [L.point_bits for L in self.subspaces(n - 2)],
+                [M.point_bits for M in self.maximals()]))
             if len(counts) != 1:
                 raise OrderNotWellDefined(f"t+1 takes several values: {sorted(counts)}")
             t = counts.pop() - 1
@@ -451,80 +448,6 @@ class PolarSpace:
             raise NotPairwiseCollinear("the span is not totally singular")
         self.points()
         return self._subspace(basis)
-
-
-def bit_indices(bits: int) -> tuple[int, ...]:
-    """Indices of the set bits of a bitset, in increasing order."""
-    if bits < 0:
-        raise ValueError(f"a bitset is a non-negative int, not {bits}")
-    out = []
-    while bits:
-        lsb = bits & -bits
-        out.append(lsb.bit_length() - 1)
-        bits ^= lsb
-    return tuple(out)
-
-
-def containing_counts(subs, maximals) -> list[int]:
-    """For each subspace of subs, the number of maximals containing it.
-
-    through[p] is the bitset of the maximals through point p; a maximal
-    contains a subspace exactly when it contains all of its points.
-    """
-    through: dict[int, int] = {}
-    for j, M in enumerate(maximals):
-        for p in bit_indices(M.point_bits):
-            through[p] = through.get(p, 0) | 1 << j
-    counts = []
-    for L in subs:
-        common = -1
-        for p in bit_indices(L.point_bits):
-            common &= through.get(p, 0)
-        counts.append(common.bit_count())
-    return counts
-
-
-def counter_planes(adj, part: int) -> list[int]:
-    """Bit-sliced neighbour counts: bit u of plane i is bit i of |N(u) ∩ part|.
-
-    Carry-save: each weight 2^b holds a plane and at most one input waiting
-    for a partner (0 when none; a zero input adds nothing).  The next input
-    goes through one full adder (3 -> 2) with the waiting one and the plane,
-    and its carry moves up to weight 2^(b+1).  Weight 2^b sees at most
-    |part| / 2^b inputs, so |part|.bit_length() planes hold every count.  A
-    ripple at the end folds the waiting inputs in.
-    """
-    size = part.bit_count().bit_length()
-    planes = [0] * size
-    waiting = [0] * size
-    for v in bit_indices(part):
-        x = adj[v]
-        b = 0
-        while waiting[b]:
-            y = waiting[b]
-            waiting[b] = 0
-            a = planes[b]
-            t = a ^ y
-            planes[b] = t ^ x
-            x = (a & y) | (t & x)
-            b += 1
-        waiting[b] = x
-    carry = 0
-    for b, y in enumerate(waiting):
-        a = planes[b]
-        t = a ^ y
-        planes[b] = t ^ carry
-        carry = (a & y) | (t & carry)
-    return planes
-
-
-def counts_differ(planes_a, planes_b, mask: int) -> int:
-    """The vertices of mask on which two bit-sliced counters disagree; the
-    shorter plane list reads as zero above its top plane."""
-    diff = 0
-    for x, y in zip_longest(planes_a, planes_b, fillvalue=0):
-        diff |= x ^ y
-    return diff & mask
 
 
 @lru_cache(maxsize=None)

@@ -5,8 +5,8 @@ from types import SimpleNamespace
 import pytest
 
 from polareig import cli, forms, graphs, linalg, polarspace
+from polareig.bitsets import bit_indices
 from polareig.gf import field_new
-from polareig.polarspace import bit_indices
 
 
 class _Tee(io.StringIO):
@@ -133,6 +133,13 @@ def vo_minus_3():
 
 def pentagon():
     return graphs.graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+
+
+def is_singular_vector(form, v):
+    """Whether the vector v of field elements is singular for form; a test
+    helper, since only tests ask it of element vectors."""
+    forms._check_vec(form, v)
+    return forms.singular_i(form, linalg.vec_key(v))
 
 
 def maximal_cliques(g):

@@ -502,6 +502,23 @@ def test_a_reader_closing_stdout_early_ends_the_command_with_exit_1_quietly():
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("count-check", "--family", "sp", "--n", "2", "--q", "2"),
+    ("build", "--family", "sp", "--n", "3", "--q", "3", "--format", "edges"),
+], ids=["count-check", "build-edges"])
+def test_a_full_disk_on_stdout_exits_6_without_a_traceback(argv):
+    # /dev/full fails every write with ENOSPC: the short count-check output
+    # at the final flush, the edge list while it is written
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "polareig.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=_src_env(), timeout=120)
+    assert proc.returncode == 6
+    assert proc.stderr.startswith("error: cannot write to stdout: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_importing_the_cli_loads_neither_click_nor_dataclasses():
     # a fresh interpreter without site hooks, so only the package's own
     # imports count

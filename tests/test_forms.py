@@ -4,10 +4,11 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import is_singular_vector
 from polareig import forms, linalg
 from polareig.forms import (
     BadDimensionParity, DimMismatch, KindMismatch, ParabolicEvenCharacteristic,
-    eval_form, eval_pairing, is_singular_vector, perp, polarise, standard_form,
+    eval_form, eval_pairing, perp, polarise, standard_form,
 )
 from polareig.gf import OddExtensionDegree, field_new, frobenius_sqrt
 
@@ -207,7 +208,7 @@ def test_form_never_vanishes_on_perp_minus_maximal(p):
     ctx = field_new(p, 1)
     f = standard_form("o-", 4, ctx)
     singular = [v for v in all_vectors(ctx, 4)
-                if forms.is_singular_vector(f, v) and any(c.index for c in v)]
+                if is_singular_vector(f, v) and any(c.index for c in v)]
     checked = 0
     for u in singular:
         basis = linalg.rref([u])
@@ -217,15 +218,6 @@ def test_form_never_vanishes_on_perp_minus_maximal(p):
                 assert not forms.singular_i(f, t)
                 checked += 1
     assert checked
-
-
-def test_form_json_carries_the_full_description():
-    ctx = field_new(2, 2)
-    payload = forms.form_to_json(standard_form("u", 4, ctx))
-    assert payload["kind"] == "hermitian" and payload["dim"] == 4
-    assert payload["q"] == 4 and payload["modulus"] == [1, 1, 1]
-    assert payload["coefficients"] == [[1, 0, 0, 0], [0, 1, 0, 0],
-                                       [0, 0, 1, 0], [0, 0, 0, 1]]
 
 
 @pytest.mark.parametrize("family,dim,p,k", [

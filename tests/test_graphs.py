@@ -11,6 +11,7 @@ from conftest import (
     maximal_cliques, pentagon, reference_cliques,
 )
 from polareig import cli, forms, graphs, linalg
+from polareig.bitsets import bit_indices, cliques_within, connected, counter_planes
 from polareig.gf import field_new
 from polareig.graphs import (
     CliqueInfo, FewerThanTwoCliques, Imprimitive, IrrationalEigenvalues,
@@ -18,7 +19,6 @@ from polareig.graphs import (
     affine_polar_graph, cliques_of_size, delsarte_cliques,
     graph_from_edges, max_intersecting_delsarte_pair, spectrum, srg_check,
 )
-from polareig.polarspace import bit_indices, counter_planes
 
 
 def test_srg_examples(sp42, rook_o42, u44):
@@ -56,11 +56,11 @@ def _reference_srg_check(g):
     for i in range(1, n):
         if adj[i].bit_count() != k:
             raise NotRegular(f"vertex {i} has degree {adj[i].bit_count()} != {k}")
-    if not graphs._connected(adj, n):
+    if not connected(adj, n):
         raise Imprimitive("graph is disconnected")
     full = (1 << n) - 1
     comp = [full ^ adj[i] ^ (1 << i) for i in range(n)]
-    if not graphs._connected(comp, n):
+    if not connected(comp, n):
         raise Imprimitive("complement is disconnected")
     lam = mu = None
     for i in range(n):
@@ -278,7 +278,7 @@ def graphs_with_pool(draw):
 @given(case=graphs_with_pool())
 def test_cliques_within_lists_the_cliques_inside_the_pool(case):
     g, pool, s = case
-    got = list(graphs.cliques_within(g.adj, pool, s))
+    got = list(cliques_within(g.adj, pool, s))
     tuples = [bit_indices(c) for c in got]
     assert tuples == sorted(tuples)
     # as in reference_cliques, no clique is listed for s < 1

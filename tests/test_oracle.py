@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import (difference_pairs, reference_bipartite_pairs,
                       reference_isolated_pairs)
 from polareig import cache, eigenfunctions as ef, graphs, linalg, oracle, serialize
+from polareig.bitsets import bit_indices, cliques_within, complement, counts_differ
 from polareig.cli import build_graph
 from polareig.graphs import graph_from_edges
 from polareig.oracle import (
     WitnessNotFound, check_characterisation, count_comparison,
     enumerate_bipartite_pairs, enumerate_isolated_clique_pairs,
 )
-from polareig.polarspace import bit_indices, counts_differ
 
 
 def test_path_graph_has_no_isolated_edge_pairs():
@@ -242,7 +242,7 @@ def test_kept_masks_match_the_brute_force_masks_on_random_graphs(joined, data):
     random symmetric keep, the adjacency of a second random graph."""
     g, s = data.draw(graphs_with_part_size(joined=joined))
     full = (1 << g.n) - 1
-    comp = graphs.complement(g.adj)
+    comp = complement(g.adj)
     adj, scan_keep = (comp, g.adj) if joined else (g.adj, comp)
     pool = data.draw(st.one_of(st.just(full), st.integers(0, full)))
     pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
@@ -250,14 +250,14 @@ def test_kept_masks_match_the_brute_force_masks_on_random_graphs(joined, data):
     random_keep = graph_from_edges(g.n, [p for p, f in zip(pairs, flags) if f]).adj
     for keep in (scan_keep, random_keep):
         expected = []
-        for c in graphs.cliques_within(adj, pool, s):
+        for c in cliques_within(adj, pool, s):
             low = (c & -c).bit_length()  # one past the least member
             kept = full >> low << low
             for v in bit_indices(c):
                 kept &= keep[v]
             if kept.bit_count() >= s:
                 expected.append((c, kept))
-        assert list(graphs.cliques_within(adj, pool, s, keep)) == expected
+        assert list(cliques_within(adj, pool, s, keep)) == expected
 
 
 @pytest.mark.parametrize("family,size,q,count", [

@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 
 from conftest import difference_pairs, intersection_rows, make_space, reference_rref
-from polareig import forms, linalg, polarspace
+from polareig import bitsets, forms, linalg, polarspace
 from polareig.gf import field_new
 from polareig.polarspace import (
     DimensionOutOfRange, LevelCountMismatch, NotPairwiseCollinear, NotSingular,
@@ -25,9 +25,9 @@ def test_point_counts(family, dim, p, k, count):
 
 
 def test_bit_indices_rejects_a_negative_int():
-    assert polarspace.bit_indices(0b10110) == (1, 2, 4)
+    assert bitsets.bit_indices(0b10110) == (1, 2, 4)
     with pytest.raises(ValueError):
-        polarspace.bit_indices(-1)
+        bitsets.bit_indices(-1)
 
 
 @pytest.mark.parametrize("key", [(0, 0, 0, 0), (1, 0, 0), (0, 0, 1, 0, 0)])
@@ -142,7 +142,8 @@ def test_containing_counts_equal_the_pair_comparison(family, dim, p, k):
     subs, maximals = space.subspaces(space.rank() - 2), space.maximals()
     reference = [sum(M.point_bits & L.point_bits == L.point_bits for M in maximals)
                  for L in subs]
-    assert polarspace.containing_counts(subs, maximals) == reference
+    assert bitsets.containing_counts([L.point_bits for L in subs],
+                                     [M.point_bits for M in maximals]) == reference
 
 
 def test_descriptor_rejects_a_lost_maximal(monkeypatch):
