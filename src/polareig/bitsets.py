@@ -4,13 +4,22 @@ Bit i of a bitset is set when index i is in the set.  A graph is a list of
 neighbour bitsets, one per vertex, and the supports of the eigenfunctions,
 the cliques and the pair scans are bitsets over its vertices.  Every
 primitive that reads or writes that format lives here: listing and
-building bitsets, complement and connectivity of a graph, bit-sliced
-neighbour counts, containment counts, and clique growth.
+building bitsets, their 0/1 flag strings, complement and connectivity of a
+graph, bit-sliced sums and neighbour counts, containment counts, and
+clique growth.
+
+A flag string (``bit_flags``) holds one byte per bit, 0 or 1, low bit
+first, so ``itertools.compress(items, bit_flags(bits))`` selects the items
+at the set bits without a Python loop over them.  A bit-sliced sum
+(``sum_planes``) adds many bitsets at once: bit u of plane b is bit b of
+the number of inputs with bit u set.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
+
+_BIT = bytes.maketrans(b"01", b"\0\1")
 
 
 def bit_indices(bits: int) -> tuple[int, ...]:
@@ -31,6 +40,12 @@ def bits_of(indices) -> int:
     for i in indices:
         bits |= 1 << i
     return bits
+
+
+def bit_flags(bits: int) -> bytes:
+    """One byte per bit of a non-negative bitset, 1 where the bit is set,
+    low bit first; its length is ``bits.bit_length()``."""
+    return format(bits, "b")[::-1].encode().translate(_BIT)
 
 
 def complement(adj: list[int]) -> list[int]:
@@ -55,21 +70,21 @@ def connected(adj: list[int], n: int) -> bool:
     return seen == (1 << n) - 1
 
 
-def counter_planes(adj, part: int) -> list[int]:
-    """Bit-sliced neighbour counts: bit u of plane i is bit i of |N(u) ∩ part|.
+def sum_planes(inputs, count: int) -> list[int]:
+    """Bit-sliced sum of at most count bitsets: bit u of plane b is bit b
+    of the number of inputs with bit u set.
 
     Carry-save: each weight 2^b holds a plane and at most one input waiting
     for a partner (0 when none; a zero input adds nothing).  The next input
     goes through one full adder (3 -> 2) with the waiting one and the plane,
     and its carry moves up to weight 2^(b+1).  Weight 2^b sees at most
-    |part| / 2^b inputs, so |part|.bit_length() planes hold every count.  A
+    count / 2^b inputs, so count.bit_length() planes hold every sum.  A
     ripple at the end folds the waiting inputs in.
     """
-    size = part.bit_count().bit_length()
+    size = count.bit_length()
     planes = [0] * size
     waiting = [0] * size
-    for v in bit_indices(part):
-        x = adj[v]
+    for x in inputs:
         b = 0
         while waiting[b]:
             y = waiting[b]
@@ -87,6 +102,11 @@ def counter_planes(adj, part: int) -> list[int]:
         planes[b] = t ^ carry
         carry = (a & y) | (t & carry)
     return planes
+
+
+def counter_planes(adj, part: int) -> list[int]:
+    """Bit-sliced neighbour counts: bit u of plane i is bit i of |N(u) ∩ part|."""
+    return sum_planes(map(adj.__getitem__, bit_indices(part)), part.bit_count())
 
 
 def counts_differ(planes_a, planes_b, mask: int) -> int:

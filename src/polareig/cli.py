@@ -323,7 +323,9 @@ def _size(value: str) -> int:
     return size
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of every subcommand's name and help.  Only a subcommand
+    named in argv can run, so only those get their arguments."""
     parser = argparse.ArgumentParser(
         prog="polareig", allow_abbrev=False,
         description="Polar spaces, strongly regular polar graphs, optimal eigenfunctions.")
@@ -332,6 +334,8 @@ def _parser() -> argparse.ArgumentParser:
     def command(name, run, cache_dir_used=False, graph_options=True):
         sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
                                   allow_abbrev=False)
+        if name not in argv:
+            return None
         sub.set_defaults(run=run)
         if graph_options:
             sub.add_argument("--family", required=True, choices=GRAPH_FAMILIES)
@@ -348,42 +352,43 @@ def _parser() -> argparse.ArgumentParser:
             if cache_dir_used else "ignored: only enumerate writes there"))
         return sub
 
-    sub = command("build", build)
-    sub.add_argument("--format", dest="fmt", choices=sorted(serialize.GRAPH_FORMATS),
-                     help="also export the graph in this format")
-    sub.add_argument("--out", type=_file_name)
+    if sub := command("build", build):
+        sub.add_argument("--format", dest="fmt", choices=sorted(serialize.GRAPH_FORMATS),
+                         help="also export the graph in this format")
+        sub.add_argument("--out", type=_file_name)
 
-    sub = command("eigenfunction", eigenfunction)
-    sub.add_argument("--construct", required=True, choices=tuple(CONSTRUCTIONS))
-    sub.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
-                     help="(default: %(default)s)")
-    sub.add_argument("--out", type=_file_name)
+    if sub := command("eigenfunction", eigenfunction):
+        sub.add_argument("--construct", required=True, choices=tuple(CONSTRUCTIONS))
+        sub.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json",
+                         help="(default: %(default)s)")
+        sub.add_argument("--out", type=_file_name)
 
-    sub = command("enumerate", enumerate_pairs, cache_dir_used=True)
-    sub.add_argument("--kind", choices=("isolated", "bipartite"), default="isolated",
-                     help="(default: %(default)s)")
-    sub.add_argument("--size", type=_size,
-                     help="part size (default: theta1+1 or -theta2)")
-    sub.add_argument("--out", type=_file_name)
+    if sub := command("enumerate", enumerate_pairs, cache_dir_used=True):
+        sub.add_argument("--kind", choices=("isolated", "bipartite"), default="isolated",
+                         help="(default: %(default)s)")
+        sub.add_argument("--size", type=_size,
+                         help="part size (default: theta1+1 or -theta2)")
+        sub.add_argument("--out", type=_file_name)
 
     command("count-check", count_check)
 
-    sub = command("verify", verify, graph_options=False)
-    sub.add_argument("--graph", dest="graph_spec", required=True,
-                     help="family:n:q, e.g. sp:2:2")
-    sub.add_argument("--function", dest="function_path", required=True,
-                     type=_file_name,
-                     help="JSON or CSV eigenfunction; a CSV file has no graph "
-                          "provenance, so it is checked against --graph as given")
-    sub.add_argument("--theta", type=int,
-                     help="eigenvalue override (needed for CSV files)")
+    if sub := command("verify", verify, graph_options=False):
+        sub.add_argument("--graph", dest="graph_spec", required=True,
+                         help="family:n:q, e.g. sp:2:2")
+        sub.add_argument("--function", dest="function_path", required=True,
+                         type=_file_name,
+                         help="JSON or CSV eigenfunction; a CSV file has no graph "
+                              "provenance, so it is checked against --graph as given")
+        sub.add_argument("--theta", type=int,
+                         help="eigenvalue override (needed for CSV files)")
     return parser
 
 
 def main(argv: list[str] | None = None):
     """Run one subcommand on argv (default ``sys.argv[1:]``).  Exits through
     SystemExit with the documented code, or returns on success."""
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv).parse_args(argv)
     try:
         try:
             args.run(args)

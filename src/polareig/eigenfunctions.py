@@ -13,6 +13,7 @@ but verification of user-supplied functions must not round.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import forms, graphs, linalg
 from .bitsets import bit_indices, bits_of
@@ -146,18 +147,23 @@ def verify_eigenfunction(g: PolarGraph, f: Eigenfunction,
     for v in f.values:
         if not 0 <= v < g.n:
             raise EigenfunctionError(f"vertex {v} outside graph of order {g.n}")
-    support = sorted(f.values)
+    # scaled by the common denominator, the values are ints w, and the
+    # vertices of each value form one bitset; at gamma the condition is
+    # theta * w_gamma = sum of w |N(gamma) ∩ class_w|, times theta's denominator
+    scale = lcm(*(x.denominator for x in f.values.values()))
+    scaled = {v: x.numerator * (scale // x.denominator) for v, x in f.values.items()}
+    by_value: dict[int, list[int]] = {}
+    for v, w in scaled.items():
+        by_value.setdefault(w, []).append(v)
+    classes = [(w, bits_of(vs)) for w, vs in by_value.items()]
     theta = Fraction(f.theta)
-    adj = g.adj
-    for gamma in range(g.n):
-        row = adj[gamma]
-        rhs = Fraction(0)
-        for delta in support:
-            if row >> delta & 1:
-                rhs += f.values[delta]
-        lhs = theta * f.values.get(gamma, Fraction(0))
-        if lhs != rhs:
-            raise NotAnEigenfunction(gamma, lhs, rhs)
+    num, den = theta.numerator, theta.denominator
+    for gamma, row in enumerate(g.adj):
+        total = sum(w * (row & cls).bit_count() for w, cls in classes)
+        if den * total != num * scaled.get(gamma, 0):
+            rhs = sum((f.values[delta] for delta in sorted(f.values)
+                       if row >> delta & 1), Fraction(0))
+            raise NotAnEigenfunction(gamma, theta * f.values.get(gamma, Fraction(0)), rhs)
     params = params or g.srg_params()
     try:
         bound = wdb(f.theta, params)

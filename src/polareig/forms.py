@@ -202,12 +202,18 @@ def bilinear_i(form: Form, u: tuple[int, ...], w: tuple[int, ...]) -> int:
     return acc
 
 
-def singular_i(form: Form, v: tuple[int, ...]) -> bool:
+def value_i(form: Form, v: tuple[int, ...]) -> int:
+    """Q(v) for quadratic kinds, H(v, v) for hermitian ones, and 0 for
+    symplectic ones (B(v, v) = 0 always): v is singular exactly when it is 0."""
     if form.kind == "quadratic":
-        return eval_form_i(form, v) == 0
+        return eval_form_i(form, v)
     if form.kind == "hermitian":
-        return bilinear_i(form, v, v) == 0
-    return True  # symplectic: B(v, v) = 0 always
+        return bilinear_i(form, v, v)
+    return 0
+
+
+def singular_i(form: Form, v: tuple[int, ...]) -> bool:
+    return value_i(form, v) == 0
 
 
 # -- element-level public surface ---------------------------------------------

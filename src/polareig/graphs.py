@@ -4,14 +4,15 @@ Three builders: collinearity graphs of rank >= 2 polar spaces, affine polar
 graphs on the full vector space (x ~ y iff Q(x - y) = 0), and the rank-2
 hermitian graph on the isotropic points of GF(q)^4 for square q.
 Adjacency is a dense bitset row per vertex.  The strongly regular check
-counts the common neighbours of one vertex with every other at once, with
-the bit-sliced counter ``bitsets.counter_planes``.
+counts the common neighbours of a block of rows with every vertex at once:
+it packs the rows' neighbour rows into one int per step and adds the steps
+with the bit-sliced sum ``bitsets.sum_planes``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import isqrt
 
 from . import bitsets, forms, polarspace
@@ -203,14 +204,25 @@ def unitary_graph(ctx: FieldContext) -> PolarGraph:
 
 # -- strongly regular machinery ---------------------------------------------------
 
+# rows of the strong-regularity check per packed block
+_BLOCK = 128
+
+
 def srg_check(g: PolarGraph) -> SrgParams:
     """Exhaustively verify strong regularity; returns the parameter tuple.
 
     Checks every vertex pair; raises NotRegular / NotStronglyRegular /
-    Imprimitive (disconnected graph or complement).  Row i of A^2 is the
-    bit-sliced count |N(i) ∩ N(j)| for every j at once; lambda and mu are
-    the counts of vertex 0 with its least neighbour and least non-neighbour,
+    Imprimitive (disconnected graph or complement).  lambda and mu are the
+    counts of vertex 0 with its least neighbour and least non-neighbour,
     and a failure names the least offending pair (i, j).
+
+    The rows are checked in blocks of _BLOCK.  A block packs its rows into
+    one int, a segment per row, each segment the adjacency row without the
+    bytes below the block (those pairs were checked on earlier rows).  Step
+    t of the check packs the t-th neighbour row of every row of the block
+    the same way, so the bit-sliced sum of the k steps holds
+    |N(i) ∩ N(j)| at column j of segment i, for every pair at once.  One
+    bytes copy of the rows is kept, cut block by block.
     """
     n, adj = g.n, g.adj
     if n == 0:
@@ -224,23 +236,47 @@ def srg_check(g: PolarGraph) -> SrgParams:
     comp = bitsets.complement(adj)
     if not bitsets.connected(comp, n):
         raise Imprimitive("complement is disconnected")
-    if not adj[0] or not comp[0]:
+    apart0 = comp[0]
+    del comp
+    if not adj[0] or not apart0:
         raise Imprimitive("graph or complement is complete")
     # the first adjacent and non-adjacent pairs: vertex 0 with its least
     # neighbour and its least non-neighbour
     lam = (adj[0] & adj[(adj[0] & -adj[0]).bit_length() - 1]).bit_count()
-    mu = (adj[0] & adj[(comp[0] & -comp[0]).bit_length() - 1]).bit_count()
+    mu = (adj[0] & adj[(apart0 & -apart0).bit_length() - 1]).bit_count()
     # counters holding lam (mu) at every vertex; -1 is the all-ones plane
     lam_planes = [-(lam >> b & 1) for b in range(lam.bit_length())]
     mu_planes = [-(mu >> b & 1) for b in range(mu.bit_length())]
-    for i in range(n):
-        planes = bitsets.counter_planes(adj, adj[i])
-        # a pair (i, j) with j < i was checked on row j, so a first failure
-        # on row i lies above i
-        bad = (bitsets.counts_differ(planes, lam_planes, adj[i])
-               | bitsets.counts_differ(planes, mu_planes, comp[i]))
+    width = -(-n // 8)
+    rows = [row.to_bytes(width, "little") for row in adj]  # trimmed per block
+    dropped = 0  # the bytes cut off the front of every row so far
+    for lo in range(0, n, _BLOCK):
+        block = range(lo, min(lo + _BLOCK, n))
+        cut = lo // 8 - dropped
+        if cut:
+            for v in range(n):
+                rows[v] = rows[v][cut:]
+            dropped += cut
+        base, seg = 8 * dropped, 8 * (width - dropped)  # column of bit 0, bits per segment
+        # every regular row has k neighbours, so zip walks all rows in lockstep
+        steps = zip(*(compress(rows, bitsets.bit_flags(adj[i])) for i in block))
+        sums = bitsets.sum_planes(
+            (int.from_bytes(b"".join(step), "little") for step in steps), k)
+        adjacent = int.from_bytes(b"".join(rows[lo:lo + len(block)]), "little")
+        # the columns below n in every segment, without the diagonal
+        others = bytearray(((1 << (n - base)) - 1).to_bytes(seg // 8, "little")
+                           * len(block))
+        for r, i in enumerate(block):
+            bit = r * seg + i - base
+            others[bit >> 3] ^= 1 << (bit & 7)
+        apart = int.from_bytes(others, "little") ^ adjacent
+        bad = (bitsets.counts_differ(sums, lam_planes, adjacent)
+               | bitsets.counts_differ(sums, mu_planes, apart))
         if bad:
-            j = (bad & -bad).bit_length() - 1
+            # the least failing row, and its least failing column; a pair
+            # (i, j) with j < i fails on row j as well, which comes first
+            i, j = divmod((bad & -bad).bit_length() - 1, seg)
+            i, j = lo + i, base + j
             c = (adj[i] & adj[j]).bit_count()
             if adj[i] >> j & 1:
                 raise NotStronglyRegular(

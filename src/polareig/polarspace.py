@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from math import isqrt
 
 from . import bitsets, forms, linalg
@@ -142,6 +142,19 @@ def singular_subspace_count(family: str, dim: int, q: int, k: int) -> int:
     return value
 
 
+def _value_split(form: Form) -> int:
+    """The h nearest dim/2 (the lesser on a tie) at which no term of the
+    form joins a coordinate below h to one at h or above; every h serves a
+    symplectic form, whose value is 0 on every vector."""
+    d = form.dim
+    if form.kind == "symplectic":
+        return d // 2
+    joined = {c for i, terms in enumerate(form.bilinear_terms) for j, _ in terms
+              for c in range(min(i, j) + 1, max(i, j) + 1)}
+    return min((h for h in range(d + 1) if h not in joined),
+               key=lambda h: (abs(d - 2 * h), h))
+
+
 class PolarSpace:
     """The polar space of a standard form; each enumerated level is kept in
     memory for the life of the instance."""
@@ -161,22 +174,39 @@ class PolarSpace:
     # -- points ---------------------------------------------------------------
 
     def points(self) -> list[ProjectivePoint]:
+        """The singular points, their keys (normalised vectors of element
+        indices) in increasing order.
+
+        The coordinates are split at h where no term of the form joins one
+        below h to one at h or above, so a vector a + b (a on the first h
+        coordinates, b on the rest) has value(a) + value(b).  The b are
+        listed once, grouped by value, and a + b is singular exactly when
+        value(b) = -value(a).  A key is a normalised a with every such b,
+        or a zero a with a normalised b of value 0; walking the a and the b
+        in product order lists the keys in increasing order.
+        """
         if self._points is None:
-            ctx, d = self.ctx, self.dim
+            ctx, d, form = self.ctx, self.dim, self.form
+            neg = ctx.tables()[2]
+            h = _value_split(form)
+            tails: dict[int, list[tuple[int, ...]]] = {}
+            for b in product(range(ctx.q), repeat=d - h):
+                tails.setdefault(forms.value_i(form, (0,) * h + b), []).append(b)
+            pad = (0,) * (d - h)
             reps = []
-            for lead in range(d):
-                for tail in product(range(ctx.q), repeat=d - lead - 1):
-                    vec = (0,) * lead + (1,) + tail
-                    if forms.singular_i(self.form, vec):
-                        reps.append(vec)
-            reps.sort()
-            pts = []
-            for i, vec in enumerate(reps):
-                rep = tuple(ctx.element(c) for c in vec)
-                pts.append(ProjectivePoint(rep, i))
-                self._point_lookup[vec] = i
+            for a in product(range(ctx.q), repeat=h):
+                lead = next((c for c in a if c), 0)
+                if lead == 1:
+                    value = neg[forms.value_i(form, a + pad)]
+                    reps += [a + b for b in tails.get(value, ())]
+                elif not lead:
+                    reps += [a + b for b in tails.get(0, ())
+                             if next((c for c in b if c), 0) == 1]
+            element = ctx.elements().__getitem__
+            self._points = [ProjectivePoint(tuple(map(element, vec)), i)
+                            for i, vec in enumerate(reps)]
+            self._point_lookup = dict(zip(reps, count()))
             self._point_keys = reps
-            self._points = pts
         return self._points
 
     def point_count(self) -> int:

@@ -23,6 +23,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import compress, count
 
+from .bitsets import bit_flags
 from .cache import dumps_canonical
 from .eigenfunctions import Eigenfunction
 from .graphs import PolarGraph
@@ -33,7 +34,6 @@ class SerializeError(Exception):
     pass
 
 
-_BIT = bytes.maketrans(b"01", b"\0\1")
 _GRAPH6 = bytes.maketrans(
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
     bytes(range(63, 127)))
@@ -46,8 +46,7 @@ def _upper_rows(g: PolarGraph):
     for i, row in enumerate(g.adj):
         upper = row >> (i + 1)
         if upper:
-            flags = format(upper, "b")[::-1].encode().translate(_BIT)
-            yield i, map(str, compress(count(i + 1), flags))
+            yield i, map(str, compress(count(i + 1), bit_flags(upper)))
 
 
 def edge_list_text(g: PolarGraph) -> str:

@@ -1,10 +1,12 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
 
-from polareig import cli, forms, graphs, linalg, polarspace
+from polareig import cli, eigenfunctions, forms, graphs, linalg, polarspace
 from polareig.bitsets import bit_indices
 from polareig.gf import field_new
 
@@ -329,3 +331,42 @@ def reference_bipartite_pairs(g, s):
                  for u in range(n) if not (a | b) >> u & 1)
              for _, a, b in found]
     return tuple(key for key, _, _ in found), tuple(flags)
+
+
+def reference_point_keys(form):
+    """The keys of the singular points as PolarSpace.points listed them
+    before its half-vector tables: every normalised candidate vector,
+    filtered by singular_i, then sorted; kept as the reference for them."""
+    q, d = form.ctx.q, form.dim
+    reps = []
+    for lead in range(d):
+        for tail in product(range(q), repeat=d - lead - 1):
+            vec = (0,) * lead + (1,) + tail
+            if forms.singular_i(form, vec):
+                reps.append(vec)
+    reps.sort()
+    return reps
+
+
+def reference_verify_eigenfunction(g, f):
+    """verify_eigenfunction as the Fraction loop over the support that it
+    ran before its integer value classes: NotAnEigenfunction at the least
+    violating vertex, else the report; kept as the reference for it."""
+    support = sorted(f.values)
+    theta = Fraction(f.theta)
+    for gamma in range(g.n):
+        row = g.adj[gamma]
+        rhs = Fraction(0)
+        for delta in support:
+            if row >> delta & 1:
+                rhs += f.values[delta]
+        lhs = theta * f.values.get(gamma, Fraction(0))
+        if lhs != rhs:
+            raise eigenfunctions.NotAnEigenfunction(gamma, lhs, rhs)
+    try:
+        bound = eigenfunctions.wdb(f.theta, g.srg_params())
+    except eigenfunctions.NotNonPrincipal:
+        bound = None
+    size = f.support_size()
+    return eigenfunctions.WdbReport(f.theta, bound, size,
+                                    bound is not None and size == bound)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import make_collinearity, reference_verify_eigenfunction
 from polareig import eigenfunctions as ef
 from polareig import forms, graphs, linalg, polarspace, serialize
 from polareig.eigenfunctions import (
@@ -396,3 +397,55 @@ def test_clique_pair_vertices_must_lie_in_the_graph(bad, first, sp42):
     pair[0 if first else 1] = bad
     with pytest.raises(NotDelsarte, match="outside graph"):
         theta1_from_clique_pair(sp42, *pair)
+
+
+def _mixed_function():
+    """(1/2) f01 + (1/3) f12 + (1/5) f23 on sp:2:3, with f_ab the theta1_polar
+    function of the maximals a and b through the least point: a
+    theta1-eigenfunction with the values 1/2, -1/6, -2/15 and -1/5."""
+    g = make_collinearity("sp", 4, 3)
+    space = g.space
+    L = space.least_subspace(space.rank() - 2)
+    sigma = space.maximals_containing(L)
+    values = {}
+    for a, c in enumerate((Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))):
+        part = theta1_polar(g, L, sigma[a], sigma[a + 1]).scaled(c)
+        for v, x in part.values.items():
+            values[v] = values.get(v, 0) + x
+    return g, Eigenfunction(values, part.theta, dict(g.provenance))
+
+
+def _changed(f, **changes):
+    """f with its values at some vertices increased (vertex=v, by=x) or its
+    theta replaced (theta=t)."""
+    values = dict(f.values)
+    if "vertex" in changes:
+        v = changes["vertex"]
+        values[v] = values.get(v, 0) + changes["by"]
+    return Eigenfunction(values, changes.get("theta", f.theta), f.graph_ref)
+
+
+def _verify_outcome(check, g, f):
+    try:
+        return check(g, f)
+    except NotAnEigenfunction as exc:
+        return exc.vertex, exc.lhs, exc.rhs
+
+
+@pytest.mark.parametrize("change", [
+    {},
+    {"vertex": 13, "by": Fraction(1, 7)},  # inside the support
+    {"vertex": 0, "by": Fraction(-2, 9)},  # outside it
+    {"theta": Fraction(3, 2)},
+    {"theta": Fraction(-7, 3)},
+    {"theta": -4},
+], ids=["valid", "perturbed-inside", "perturbed-outside", "theta-3/2", "theta--7/3",
+        "theta2"])
+def test_verify_eigenfunction_equals_the_fraction_loop(change):
+    g, f = _mixed_function()
+    assert {x.denominator for x in f.values.values()} == {2, 5, 6, 15}
+    assert 13 in f.values and 0 not in f.values
+    f = _changed(f, **change)
+    outcome = _verify_outcome(verify_eigenfunction, g, f)
+    assert outcome == _verify_outcome(reference_verify_eigenfunction, g, f)
+    assert isinstance(outcome, ef.WdbReport) == (not change)

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import re
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,68 @@ def _first_switch(g):
                 if (s := _switched(g, e, f)) is not None)
 
 
+def _failing_pairs(g, lam, mu):
+    adj = g.adj
+    return [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
+            if (adj[i] & adj[j]).bit_count() != (lam if adj[i] >> j & 1 else mu)]
+
+
+def _placed_switch(g, placement):
+    """The first 2-switch of g, relabelled to move its first failing pair
+    (i, j) back.  A switch breaks a pair through each vertex it touches, so
+    i is at most v minus the number of touched vertices.  Vertex 0 stays
+    untouched, so lambda and mu are those of g.
+
+    "late-row": the touched vertices take the last labels, so i is as late
+    as the switch allows.  "late-column": so is i, and the touched vertex
+    with the fewest failing partners takes label i and its partners the
+    very last labels, so j lies in the last rows."""
+    params = srg_check(g)
+    s = _first_switch(g)
+    bad = _failing_pairs(s, params.lam, params.mu)
+    touched = sorted({v for pair in bad for v in pair})
+    order = [v for v in range(g.n) if v not in set(touched)]
+    if placement == "late-row":
+        order += touched
+    else:
+        def partners(v):
+            return {x for pair in bad if v in pair for x in pair} - {v}
+
+        first = min(touched, key=lambda v: (len(partners(v)), v))
+        last = partners(first)
+        order += ([first] + [v for v in touched if v != first and v not in last]
+                  + sorted(last))
+    label = {v: i for i, v in enumerate(order)}
+    return graph_from_edges(g.n, [(label[i], label[j]) for i, j in s.edges()])
+
+
+# 2-switches of graphs larger than one block of srg_check (128 rows), with
+# the row and column blocks of their first failing pair.  v = 130 and 364
+# are not multiples of 8, and no switch of these graphs can move i into the
+# last block: it touches more vertices than that block has rows.
+_O33, _U9, _SP33 = (make_collinearity("o+", 6, 3), graphs.unitary_graph(field_new(3, 2)),
+                    make_collinearity("sp", 6, 3))
+BLOCK_CASES = {
+    "o+33-first": (_first_switch(_O33), 0, 0),
+    "o+33-late-column": (_placed_switch(_O33, "late-column"), 0, 1),
+    "u9-first": (_first_switch(_U9), 0, 0),
+    "u9-late-row": (_placed_switch(_U9, "late-row"), 1, 1),
+    "u9-late-column": (_placed_switch(_U9, "late-column"), 1, 2),
+    "sp33-first": (_first_switch(_SP33), 0, 0),
+    "sp33-late-row": (_placed_switch(_SP33, "late-row"), 0, 0),
+    "sp33-late-column": (_placed_switch(_SP33, "late-column"), 0, 2),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_block_cases_fail_first_in_the_blocks_they_name(case):
+    g, row_block, column_block = BLOCK_CASES[case]
+    kind, message = _outcome(_reference_srg_check, g)
+    assert kind is NotStronglyRegular
+    i, j = map(int, re.search(r"\((\d+),(\d+)\)", message).groups())
+    assert (i // graphs._BLOCK, j // graphs._BLOCK) == (row_block, column_block)
+
+
 @pytest.mark.parametrize("g", [
     graph_from_edges(0, []),
     graph_from_edges(1, []),
@@ -142,8 +205,9 @@ def _first_switch(g):
     _first_switch(make_collinearity("sp", 4, 2)),
     # regular, with its first failure on an adjacent pair
     graph_from_edges(7, [(i, (i + s) % 7) for i in range(7) for s in (1, 2)]),
+    *(g for g, _, _ in BLOCK_CASES.values()),
 ], ids=["empty", "K1", "K2", "K5", "path", "two-triangles", "C6", "K33", "cube",
-        "switched-sp42", "circulant-7-12"])
+        "switched-sp42", "circulant-7-12", *BLOCK_CASES])
 def test_srg_check_equals_the_pair_loop_on_crafted_graphs(g):
     assert _outcome(srg_check, g) == _outcome(_reference_srg_check, g)
 

@@ -1,12 +1,15 @@
+import importlib.util
 import itertools
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
-from conftest import difference_pairs, intersection_rows, make_space, reference_rref
+from conftest import (difference_pairs, intersection_rows, make_space,
+                      reference_point_keys, reference_rref)
 from polareig import bitsets, forms, linalg, polarspace
-from polareig.gf import field_new
+from polareig.gf import field_from_order, field_new
 from polareig.polarspace import (
     DimensionOutOfRange, LevelCountMismatch, NotPairwiseCollinear, NotSingular,
     OrderNotWellDefined, WrongDimension,
@@ -22,6 +25,34 @@ from polareig.polarspace import (
 ])
 def test_point_counts(family, dim, p, k, count):
     assert make_space(family, dim, p, k).point_count() == count
+
+
+def _grid_spaces():
+    """(family, dim, q) of the form of every graph of scripts/build_grid.py's
+    GRID, as cli.build_graph maps it, plus larger spaces of odd dimension
+    and of rank 3 and 4, each once."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "build_grid.py"
+    spec = importlib.util.spec_from_file_location("build_grid", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    spaces = []
+    for family, size, q in module.GRID:
+        # vo+ and vo- are built on the o+ and o- forms of dimension 2m
+        affine = family.startswith("v")
+        dim = 2 * size + (0 if affine else {"o": 1, "o-": 2}.get(family, 0))
+        spaces.append((family.lstrip("v"), dim, q))
+    spaces += [("o", 7, 5), ("u", 5, 4), ("u", 6, 4), ("o-", 8, 3), ("sp", 8, 3)]
+    return list(dict.fromkeys(spaces))
+
+
+@pytest.mark.parametrize("family,dim,q", _grid_spaces(), ids=str)
+def test_point_keys_equal_the_sorted_candidate_filter(family, dim, q):
+    form = forms.standard_form(family, dim, field_from_order(q))
+    space = polarspace.PolarSpace(form)
+    points = space.points()
+    assert space._point_keys == reference_point_keys(form)
+    assert [p.key() for p in points] == space._point_keys
+    assert [p.index for p in points] == list(range(len(points)))
 
 
 def test_bit_indices_rejects_a_negative_int():

@@ -1,8 +1,11 @@
 import hashlib
+import json
 import runpy
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+# the ladder of scripts/bench.py as this checkout recorded it
+BENCH = SCRIPTS.parent / "BENCH_22.json"
 
 # sha256 of the survey's stdout: every pair count, printed and derived value
 COUNT_SURVEY_SHA = "b25919702ea704d4a9331242bbc7c6afbd5f374bdc836e52d40c1a6ca42ae051"
@@ -21,3 +24,17 @@ def test_build_grid_stdout_matches_its_recorded_digest(capsys):
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == BUILD_GRID_SHA
     assert "export json" in captured.err
+
+
+def test_the_sub_second_bench_rungs_match_their_recorded_digests():
+    bench = runpy.run_path(str(SCRIPTS / "bench.py"))
+    ladder = {name: args for name, args, _ in bench["LADDER"]}
+    recorded = json.loads(BENCH.read_text())["rungs"]
+    assert [rung["name"] for rung in recorded] == list(ladder)
+    quick = [rung for rung in recorded if rung["wall_s"] < 1]
+    assert quick
+    for rung in quick:
+        assert tuple(rung["argv"]) == ladder[rung["name"]]
+        _, _, code, sha = bench["run_once"](ladder[rung["name"]])
+        assert (code, rung["name"], sha) == (rung["exit_code"], rung["name"],
+                                             rung["stdout_sha256"])
