@@ -45,20 +45,33 @@ def catalog_path(directory: str | os.PathLike | None, provenance: dict,
 
 def write_jsonl(path: Path, header: dict, lines: Iterable) -> None:
     """Write the header, then one line per entry of lines (any iterable,
-    consumed once), through a temporary file that replaces path; on any
+    consumed once).
+
+    A regular or new file is written through a temporary file that replaces
+    it, and a symlink to one has its target replaced, not the link; on any
     failure, one raised by lines included, the temporary file is removed and
-    the error re-raised."""
+    the error re-raised.  An existing target that is not a regular file (a
+    FIFO, a character device, /dev/stdout) is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            _write_lines(fh, header, lines)
+        return
+    path = Path(os.path.realpath(path))
     tmp = path.with_suffix(".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(header) + "\n")
-            for entry in lines:
-                fh.write(dumps_canonical(entry) + "\n")
+            _write_lines(fh, header, lines)
         os.replace(tmp, path)
     except BaseException:
         with suppress(OSError):
             tmp.unlink()
         raise
+
+
+def _write_lines(fh, header: dict, lines: Iterable) -> None:
+    fh.write(dumps_canonical(header) + "\n")
+    for entry in lines:
+        fh.write(dumps_canonical(entry) + "\n")
 
 
 # unused by the package; kept because the benchmark launcher wraps it by name

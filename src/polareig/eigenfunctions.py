@@ -134,8 +134,7 @@ def wdb(theta: int, params: SrgParams) -> int:
     return expected
 
 
-def verify_eigenfunction(g: PolarGraph, f: Eigenfunction,
-                         params: SrgParams | None = None) -> WdbReport:
+def verify_eigenfunction(g: PolarGraph, f: Eigenfunction) -> WdbReport:
     """Check the eigenfunction condition at every vertex, exactly.
 
     Raises NotAnEigenfunction at the least violating vertex.  The returned
@@ -164,9 +163,8 @@ def verify_eigenfunction(g: PolarGraph, f: Eigenfunction,
             rhs = sum((f.values[delta] for delta in sorted(f.values)
                        if row >> delta & 1), Fraction(0))
             raise NotAnEigenfunction(gamma, theta * f.values.get(gamma, Fraction(0)), rhs)
-    params = params or g.srg_params()
     try:
-        bound = wdb(f.theta, params)
+        bound = wdb(f.theta, g.srg_params())
     except NotNonPrincipal:
         bound = None
     size = f.support_size()

@@ -218,16 +218,12 @@ def singular_i(form: Form, v: tuple[int, ...]) -> bool:
 
 # -- element-level public surface ---------------------------------------------
 
-def _idx(v):
-    return tuple(a.index for a in v)
-
-
 def eval_form(form: Form, v) -> FieldElement:
     """Exact value of a quadratic form at v."""
     if form.kind != "quadratic":
         raise KindMismatch(f"eval_form needs a quadratic form, got {form.kind}")
     _check_vec(form, v)
-    return form.ctx.element(eval_form_i(form, _idx(v)))
+    return form.ctx.element(eval_form_i(form, linalg.vec_key(v)))
 
 
 def polarise(form: Form, u, w) -> FieldElement:
@@ -236,7 +232,7 @@ def polarise(form: Form, u, w) -> FieldElement:
         raise KindMismatch(f"polarise needs a quadratic form, got {form.kind}")
     _check_vec(form, u)
     _check_vec(form, w)
-    return form.ctx.element(bilinear_i(form, _idx(u), _idx(w)))
+    return form.ctx.element(bilinear_i(form, linalg.vec_key(u), linalg.vec_key(w)))
 
 
 def eval_pairing(form: Form, u, w) -> FieldElement:
@@ -245,7 +241,7 @@ def eval_pairing(form: Form, u, w) -> FieldElement:
         raise KindMismatch(f"eval_pairing needs symplectic/hermitian, got {form.kind}")
     _check_vec(form, u)
     _check_vec(form, w)
-    return form.ctx.element(bilinear_i(form, _idx(u), _idx(w)))
+    return form.ctx.element(bilinear_i(form, linalg.vec_key(u), linalg.vec_key(w)))
 
 
 def perp_i(form: Form, vectors) -> tuple[tuple[int, ...], ...]:
@@ -259,7 +255,8 @@ def perp(form: Form, vectors):
     vectors = [tuple(v) for v in vectors]
     for v in vectors:
         _check_vec(form, v)
-    return linalg.element_rows(form.ctx, perp_i(form, [_idx(v) for v in vectors]))
+    rows = perp_i(form, [linalg.vec_key(v) for v in vectors])
+    return linalg.element_rows(form.ctx, rows)
 
 
 def totally_singular_i(form: Form, rows) -> bool:
@@ -275,5 +272,5 @@ def totally_singular_i(form: Form, rows) -> bool:
 
 def is_totally_singular(form: Form, basis) -> bool:
     """Q (or H(., .)) vanishes on the whole span of element rows."""
-    return totally_singular_i(form, [_idx(r) for r in basis])
+    return totally_singular_i(form, [linalg.vec_key(r) for r in basis])
 

@@ -8,11 +8,16 @@ value ``sum(c_i * p**i)``.  That integer is the element *index*; all
 downstream enumeration (points, subspaces, graph vertices) inherits its
 determinism from this order.
 
-The modulus is the least monic irreducible polynomial of degree k in the
-same order (applied to the non-leading coefficients), so two constructions
-of GF(p^k) are always identical, bit for bit.  Every context holds dense
-add/mul/neg/inv tables (and Frobenius for square orders); every operation
-is a lookup in them.
+Every context holds dense add/mul/neg/inv tables (and Frobenius for square
+orders); every operation is a lookup in them.  Index a is the polynomial
+x * (a // p) + a % p, so each table entry follows from entries at smaller
+indices: ``add[a][b] = p * add[a // p][b // p] + (a + b) % p``, the GF(p)
+multiples ``scal[c][a] = p * scal[c][a // p] + c * a % p`` (``neg`` is
+``scal[p - 1]``), and ``mul[a][b] = x * mul[a][b // p] + scal[b % p][a]``.
+The modulus is the first x^k + low, low in index order, whose multiplication
+has no zero divisor, which holds exactly when it is irreducible: the least
+monic irreducible of degree k in the same order, so two constructions of
+GF(p^k) are identical, bit for bit.
 """
 
 from __future__ import annotations
@@ -89,64 +94,26 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return q, 1  # q itself is prime
 
 
-# -- polynomial helpers (little-endian coefficient tuples over GF(p)) --------
-
-def _poly_trim(a: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(a)
-    while n > 0 and a[n - 1] == 0:
-        n -= 1
-    return a[:n]
-
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(tuple(out))
-
-
-def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) > dm:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i in range(dm):
-                a[shift + i] = (a[shift + i] - lead * m[i]) % p
-        a.pop()
-    return _poly_trim(tuple(a))
-
-
-def _monic_polys(p: int, deg: int):
-    """Monic degree-deg polynomials over GF(p), least first in canonical order."""
-    for idx in range(p ** deg):
-        coeffs = []
-        m = idx
-        for _ in range(deg):
-            coeffs.append(m % p)
-            m //= p
-        yield tuple(coeffs) + (1,)
-
-
-def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    deg = len(poly) - 1
-    if deg <= 0:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for divisor in _monic_polys(p, d):
-            if not _poly_mod(poly, divisor, p):
-                return False
-    return True
+def _mul_table(p: int, q: int, add, scal, low: int):
+    """Multiplication modulo x^k + low, or None at the first row with a zero
+    divisor, that is, when x^k + low is reducible."""
+    top = q // p
+    # x * a = x * (a % top) + (a // top) * x^k, and x^k = -low
+    times_x = [add[a % top * p][scal[-(a // top) % p][low]] for a in range(q)]
+    mul = [[0] * q]
+    for a in range(1, q):
+        row = [0]
+        for b in range(1, q):
+            row.append(add[times_x[row[b // p]]][scal[b % p][a]])
+        if row.count(0) > 1:
+            return None
+        mul.append(row)
+    return mul
 
 
 class FieldContext:
-    """Immutable description of GF(p^k) plus its arithmetic machinery.
+    """Immutable description of GF(p^k) plus its arithmetic machinery; it
+    finds its own modulus.
 
     Construct via :func:`field_new`; contexts are cached so equal fields
     are the same object.
@@ -158,11 +125,10 @@ class FieldContext:
         "_elements", "_primitive_index",
     )
 
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
+    def __init__(self, p: int, k: int):
         self.p = p
         self.k = k
         self.q = p ** k
-        self.modulus = modulus
         self._frob = None
         self._primitive_index = None
         self._build_tables()
@@ -221,33 +187,25 @@ class FieldContext:
     # -- index-level arithmetic (hot path) --------------------------------------
 
     def _build_tables(self):
+        # every entry follows from entries at smaller indices (module docstring)
         p, k, q = self.p, self.k, self.q
-        add = [[0] * q for _ in range(q)]
-        neg = [0] * q
-        for a in range(q):
-            ca = self.coeffs_of(a)
-            neg[a] = self.index_of(tuple((-c) % p for c in ca))
-            for b in range(a, q):
-                cb = self.coeffs_of(b)
-                s = self.index_of(tuple((x + y) % p for x, y in zip(ca, cb)))
-                add[a][b] = s
-                add[b][a] = s
-        mul = [[0] * q for _ in range(q)]
+        add = [list(range(q))]
         for a in range(1, q):
-            pa = _poly_trim(self.coeffs_of(a))
-            for b in range(a, q):
-                pb = _poly_trim(self.coeffs_of(b))
-                prod = _poly_mod(_poly_mul(pa, pb, p), self.modulus, p)
-                m = self.index_of(prod + (0,) * (k - len(prod)))
-                mul[a][b] = m
-                mul[b][a] = m
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._add, self._mul, self._neg, self._inv = add, mul, neg, inv
+            hi = add[a // p]
+            add.append([p * hi[b // p] + (a + b) % p for b in range(q)])
+        scal = []  # scal[c][a] = c * a for c in GF(p)
+        for c in range(p):
+            row = [0]
+            for a in range(1, q):
+                row.append(p * row[a // p] + c * a % p)
+            scal.append(row)
+        for low in range(q):
+            mul = _mul_table(p, q, add, scal, low)
+            if mul is not None:
+                break
+        self.modulus = self.coeffs_of(low) + (1,)
+        inv = [0] + [mul[a].index(1) for a in range(1, q)]
+        self._add, self._mul, self._neg, self._inv = add, mul, scal[p - 1], inv
         if k % 2 == 0:
             r = p ** (k // 2)
             self._frob = [self.pow_i(a, r) for a in range(q)]
@@ -403,10 +361,7 @@ class FieldElement:
 
 @lru_cache(maxsize=None)
 def _field_cached(p: int, k: int) -> FieldContext:
-    for candidate in _monic_polys(p, k):
-        if _is_irreducible(candidate, p):
-            return FieldContext(p, k, candidate)
-    raise FieldError(f"no irreducible polynomial of degree {k} over GF({p})")  # unreachable
+    return FieldContext(p, k)
 
 
 def _check_cap(q: int):

@@ -317,12 +317,11 @@ def cliques_of_size(g: PolarGraph, s: int) -> list[int]:
     return list(bitsets.cliques_within(g.adj, (1 << g.n) - 1, s))
 
 
-def _sized_cliques(g: PolarGraph, params: SrgParams | None = None,
-                   spec: SpectrumInfo | None = None):
+def _sized_cliques(g: PolarGraph):
     """CliqueInfo of every clique of the Delsarte-Hoffman size, in
     increasing vertex-tuple order; none when the bound is not an integer."""
-    params = params or g.srg_params()
-    spec = spec or spectrum(params)
+    params = g.srg_params()
+    spec = spectrum(params)
     bound = delsarte_bound(params, spec)
     if bound.denominator != 1:
         return
@@ -335,14 +334,13 @@ def _sized_cliques(g: PolarGraph, params: SrgParams | None = None,
         yield CliqueInfo(bitsets.bit_indices(bits), ok, count if ok else None)
 
 
-def delsarte_cliques(g: PolarGraph, params: SrgParams | None = None,
-                     spec: SpectrumInfo | None = None) -> list[CliqueInfo]:
+def delsarte_cliques(g: PolarGraph) -> list[CliqueInfo]:
     """All cliques meeting the Delsarte-Hoffman bound 1 + k/(-theta2), sorted.
 
     Each is checked to be regular with nexus mu/(-theta2).  Empty when the
     bound is not an integer (then no clique can meet it).
     """
-    return list(_sized_cliques(g, params, spec))
+    return list(_sized_cliques(g))
 
 
 def max_intersecting_delsarte_pair(g: PolarGraph) -> tuple[CliqueInfo, CliqueInfo]:

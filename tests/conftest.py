@@ -5,10 +5,18 @@ from itertools import product
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import settings
 
 from polareig import cli, eigenfunctions, forms, graphs, linalg, polarspace
 from polareig.bitsets import bit_indices
 from polareig.gf import field_new
+
+
+# Every property test draws the same examples on every run: a test's seed is
+# a hash of the test itself, so a failure always reproduces.  Loaded before
+# the test modules are imported, so each @settings inherits it.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 class _Tee(io.StringIO):

@@ -119,7 +119,7 @@ def test_criterion2_positive_eigenvalue_tightness(grid):
                 g, *graphs.max_intersecting_delsarte_pair(g)))
         for f in candidates:
             assert f.theta == spec.theta1, label
-            report = ef.verify_eigenfunction(g, f, params=params)
+            report = ef.verify_eigenfunction(g, f)
             assert report.tight, label
             assert report.support_size == 2 * (spec.theta1 + 1), label
             checked += 1
@@ -143,7 +143,7 @@ def test_criterion3_negative_eigenvalue_tightness(unitary_family):
         r = round(q ** 0.5)
         assert spec.theta2 == -(r + 1)
         f = ef.theta2_unitary(g)
-        report = ef.verify_eigenfunction(g, f, params=params)
+        report = ef.verify_eigenfunction(g, f)
         assert report.tight
         assert report.support_size == 2 * (r + 1) == -2 * spec.theta2
         t0, t1 = ef.unitary_pair_parts(f)
@@ -373,9 +373,9 @@ def test_criterion6_elliptic_neighbour_trichotomy(grid):
 @settings(max_examples=1000, deadline=None)
 @given(c=st.fractions(min_value=-99, max_value=99).filter(lambda x: x != 0))
 def test_criterion6_scaling_closure(grid, c):
-    g, params, spec = grid[0]["sp:2:2"]
+    g = grid[0]["sp:2:2"][0]
     f = _SCALING_BASE.setdefault("f", ef.theta1_polar(g))
-    report = ef.verify_eigenfunction(g, f.scaled(c), params=params)
+    report = ef.verify_eigenfunction(g, f.scaled(c))
     assert report.tight
 
 

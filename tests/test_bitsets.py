@@ -11,13 +11,13 @@ MOVED = {"bit_indices": "bit_indices", "counter_planes": "counter_planes",
          "connected": "_connected"}
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None)
 @given(x=st.integers(0, 2 ** 200))
 def test_bits_of_inverts_bit_indices(x):
     assert bits_of(bit_indices(x)) == x
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None)
 @given(xs=st.lists(st.integers(0, 300)))
 def test_bit_indices_of_bits_of_is_the_sorted_set(xs):
     assert bit_indices(bits_of(xs)) == tuple(sorted(set(xs)))

@@ -260,12 +260,11 @@ def test_scaling_closure(sp42, c, which):
         else theta1_from_clique_pair(sp42, *graphs.max_intersecting_delsarte_pair(sp42)))
     if c == 0:
         return
-    report = verify_eigenfunction(sp42, f.scaled(c), params=_SP42_PARAMS)
+    report = verify_eigenfunction(sp42, f.scaled(c))
     assert report.support_size == f.support_size()
 
 
 _BASE_FUNCTIONS = {}
-_SP42_PARAMS = graphs.SrgParams(15, 6, 1, 3)
 
 
 def test_eigenfunction_json_round_trip(sp42, tmp_path):

@@ -233,7 +233,7 @@ def small_graphs(draw):
     return _switched(g, e, f) or g
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None)
 @given(g=small_graphs())
 def test_srg_check_equals_the_pair_loop_on_random_graphs(g):
     assert _outcome(srg_check, g) == _outcome(_reference_srg_check, g)
@@ -349,7 +349,7 @@ def test_cliques_within_lists_the_cliques_inside_the_pool(case):
     assert got == (_reference_independent_sets(g.adj, pool, s) if s else [])
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None)
 @given(case=graphs_with_pool())
 def test_counter_planes_count_the_neighbours_in_part(case):
     g, part, _ = case

@@ -56,7 +56,7 @@ def test_isolated_pairs_yield_positive_eigenfunctions(sp42, vo_minus_2):
             values = {v: Fraction(1) for v in t0}
             values.update({v: Fraction(-1) for v in t1})
             f = ef.Eigenfunction(values, spec.theta1, {})
-            assert ef.verify_eigenfunction(g, f, params=params).tight
+            assert ef.verify_eigenfunction(g, f).tight
 
 
 def test_unitary_bipartite_catalog_contains_the_tight_pair(u44):
@@ -78,7 +78,7 @@ def test_outside_regular_bipartite_pairs_give_negative_eigenfunctions(u44):
         values.update({v: Fraction(-1) for v in t1})
         f = ef.Eigenfunction(values, spec.theta2, {})
         if regular:
-            assert ef.verify_eigenfunction(u44, f, params=params).tight
+            assert ef.verify_eigenfunction(u44, f).tight
 
 
 def test_undersized_bipartite_pairs_are_rejected_as_certificates(sp42):
@@ -93,8 +93,7 @@ def test_undersized_bipartite_pairs_are_rejected_as_certificates(sp42):
         values = {v: Fraction(1) for v in t0}
         values.update({v: Fraction(-1) for v in t1})
         with pytest.raises(ef.NotAnEigenfunction):
-            ef.verify_eigenfunction(sp42, ef.Eigenfunction(values, spec.theta2, {}),
-                                    params=params)
+            ef.verify_eigenfunction(sp42, ef.Eigenfunction(values, spec.theta2, {}))
 
 
 @pytest.mark.parametrize("fixture", [
@@ -233,7 +232,7 @@ def test_isolated_catalog_matches_reference_on_random_graphs(case):
     assert list(enumerate_isolated_clique_pairs(g, s).pairs) == reference_isolated_pairs(g, s)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None)
 @given(joined=st.booleans(), data=st.data())
 def test_kept_masks_match_the_brute_force_masks_on_random_graphs(joined, data):
     """With keep, cliques_within yields the plain cliques whose brute-force
