@@ -1,6 +1,9 @@
-"""Canonical JSON and the JSON-lines files that hold pair catalogues.
+"""Canonical JSON, the one writer of every output file, and the JSON-lines
+files that hold pair catalogues.
 
-Files are JSON-lines: one header object, then one entry per line.  Writes
+``write_text`` writes an iterable of strings as they come, to stdout or to
+a file, with one policy for every command (see its docstring).  Catalogue
+files are JSON-lines: one header object, then one entry per line.  Writes
 are deterministic (sorted content, fixed separators) so repeated runs are
 byte-identical, and lines are rendered one at a time as they are written.
 ``enumerate`` with no ``--out`` writes its catalogue into the directory
@@ -12,8 +15,10 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections.abc import Iterable
 from contextlib import suppress
+from itertools import chain, count
 from pathlib import Path
 
 
@@ -23,10 +28,6 @@ ENV_VAR = "POLAR_EIG_CACHE"
 # json.dumps(obj, sort_keys=True, separators=(",", ":")) with one shared
 # encoder; json.dumps would build a new encoder for every catalogue line
 dumps_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def _safe(tag: str) -> str:
-    return tag.replace("+", "p").replace("-", "m")
 
 
 def catalog_path(directory: str | os.PathLike | None, provenance: dict,
@@ -39,39 +40,52 @@ def catalog_path(directory: str | os.PathLike | None, provenance: dict,
         return None
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
-    return path / (f"catalog_{_safe(provenance['family'])}_d{provenance['dim']}"
+    family = provenance["family"].replace("+", "p").replace("-", "m")
+    return path / (f"catalog_{family}_d{provenance['dim']}"
                    f"_p{provenance['p']}k{provenance['k']}_{kind}_s{s}.jsonl")
 
 
-def write_jsonl(path: Path, header: dict, lines: Iterable) -> None:
-    """Write the header, then one line per entry of lines (any iterable,
-    consumed once).
-
-    A regular or new file is written through a temporary file that replaces
-    it, and a symlink to one has its target replaced, not the link; on any
-    failure, one raised by lines included, the temporary file is removed and
-    the error re-raised.  An existing target that is not a regular file (a
-    FIFO, a character device, /dev/stdout) is written in place."""
-    if os.path.exists(path) and not os.path.isfile(path):
+def write_text(path: str | os.PathLike | None, chunks: Iterable[str]) -> None:
+    """Write chunks (strings, consumed once) as they come to path, or with no
+    path to stdout; every file the CLI writes goes through here.  A path that
+    is stdout's open file (/dev/stdout, or where stdout is redirected) is
+    written through sys.stdout, in order with the rest of the output; any
+    other existing file that is not regular (a FIFO, a device) is written in
+    place.  A regular or new file, a symlink's target and not the link, is
+    replaced by a temporary file this call creates exclusively beside it; on
+    any failure, one raised by chunks included, only that file is removed."""
+    if path is None or _same_file(path, sys.stdout):
+        sys.stdout.writelines(chunks)
+    elif os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as fh:
-            _write_lines(fh, header, lines)
-        return
-    path = Path(os.path.realpath(path))
-    tmp = path.with_suffix(".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            _write_lines(fh, header, lines)
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(OSError):
-            tmp.unlink()
-        raise
+            fh.writelines(chunks)
+    else:
+        target = os.path.realpath(path)
+        for n in count():  # "x": a name no file held, and the mode "w" gives a new file
+            tmp = f"{target}.{os.getpid()}-{n}.tmp"
+            with suppress(FileExistsError):
+                fh = open(tmp, "x", encoding="utf-8")
+                break
+        try:
+            with fh:
+                fh.writelines(chunks)
+            os.replace(tmp, target)
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp)
+            raise
 
 
-def _write_lines(fh, header: dict, lines: Iterable) -> None:
-    fh.write(dumps_canonical(header) + "\n")
-    for entry in lines:
-        fh.write(dumps_canonical(entry) + "\n")
+def _same_file(path, stream) -> bool:
+    with suppress(AttributeError, OSError, ValueError):  # missing, or no file behind stream
+        return os.path.samestat(os.stat(path), os.fstat(stream.fileno()))
+    return False
+
+
+def write_jsonl(path: Path, header: dict, lines: Iterable) -> None:
+    """The header, then one line per entry of lines (any iterable, consumed
+    once), each rendered as ``write_text`` writes it."""
+    write_text(path, (dumps_canonical(e) + "\n" for e in chain((header,), lines)))
 
 
 # unused by the package; kept because the benchmark launcher wraps it by name

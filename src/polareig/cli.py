@@ -105,11 +105,6 @@ def parse_graph_spec(spec: str) -> tuple[str, int, int, int | None, int | None]:
     return family, size, q, size, None
 
 
-def _affine_printed_clique_size(q: int, m: int, eps: int) -> Fraction:
-    return 1 + Fraction((q ** m - eps) * (q ** (m - 1) + eps),
-                        eps * q ** (m - 1) + 1)
-
-
 def build_summary(g: graphs.PolarGraph) -> dict:
     params = g.srg_params()
     spec = graphs.spectrum(params)
@@ -132,8 +127,8 @@ def build_summary(g: graphs.PolarGraph) -> dict:
         "wdb_theta2": ef.wdb(spec.theta2, params),
     }
     if g.provenance.get("kind") == "affine":
-        printed = _affine_printed_clique_size(
-            g.provenance["q"], g.provenance["m"], g.provenance["epsilon"])
+        q, m, eps = (g.provenance[key] for key in ("q", "m", "epsilon"))
+        printed = 1 + Fraction((q ** m - eps) * (q ** (m - 1) + eps), eps * q ** (m - 1) + 1)
         out["affine_clique_formula_mismatch"] = printed != bound
     return out
 
@@ -143,11 +138,7 @@ def build(args):
     g = _build_or_exit(args.family, args.q, args.n, args.m, args.cap)
     _echo_json(build_summary(g))
     if args.fmt:
-        text = serialize.GRAPH_FORMATS[args.fmt](g)
-        if args.out:
-            _write_or_exit(args.out, text)
-        else:
-            sys.stdout.writelines(_slices(text))
+        _write_or_exit(args.out, serialize.GRAPH_FORMATS[args.fmt](g))
 
 
 def eigenfunction(args):
@@ -166,10 +157,9 @@ def eigenfunction(args):
         report = ef.verify_eigenfunction(g, f)
     except (ef.EigenfunctionError, graphs.GraphError) as exc:
         raise SystemExit(_fail(4, f"construction failed verification: {exc}"))
-    text = (serialize.eigenfunction_json(f) if args.fmt == "json"
-            else serialize.eigenfunction_csv(f))
     if args.out:
-        _write_or_exit(args.out, text)
+        _write_or_exit(args.out, [serialize.eigenfunction_json(f) if args.fmt == "json"
+                                  else serialize.eigenfunction_csv(f)])
     _echo_json({
         "construct": construct,
         "theta": report.theta,
@@ -182,14 +172,8 @@ def eigenfunction(args):
 
 
 def _construct(g: graphs.PolarGraph, name: str) -> ef.Eigenfunction:
-    if name == "theta1-polar":
-        return ef.theta1_polar(g)
-    if name == "theta1-hyperbolic":
-        return ef.theta1_hyperbolic(g)
-    if name == "theta1-elliptic":
-        return ef.theta1_elliptic(g)
-    if name == "theta2-unitary":
-        return ef.theta2_unitary(g)
+    if name != "theta1-cliquepair":  # theta1-polar runs ef.theta1_polar, and so on
+        return getattr(ef, name.replace("-", "_"))(g)
     # theta1-cliquepair: the canonical optimal pair for the family
     fam = g.provenance.get("family")
     if fam == "vo-":
@@ -287,14 +271,11 @@ def _build_or_exit(family, q, n, m, cap) -> graphs.PolarGraph:
     return g
 
 
-def _slices(text):  # 1 MiB each: a write encodes one slice, never the whole text
-    return (text[i:i + 2 ** 20] for i in range(0, len(text), 2 ** 20))
-
-
-def _write_or_exit(path, text):
+def _write_or_exit(path, chunks):  # with no path to stdout, whose failures main maps
+    if not path:
+        return _cache.write_text(None, chunks)
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(_slices(text))
+        _cache.write_text(path, chunks)
     except OSError as exc:
         raise SystemExit(_fail(6, f"cannot write {path}: {exc}"))
 

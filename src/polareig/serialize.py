@@ -7,10 +7,10 @@ writers emit canonical bytes (sorted keys, fixed separators) so identical
 inputs give identical files.
 
 The graph writers render one string per adjacency row (graph6: per column)
-straight from the bitsets and hold no Python object per edge or bit, so
-their memory grows with the size of the text they return.  Catalogue
-entries are produced lazily and rendered only as ``cache.write_jsonl``
-writes them.
+straight from the bitsets, with no Python object per edge or bit; every
+value of ``GRAPH_FORMATS`` returns chunks, which ``cache.write_text`` writes
+as they come, and those of ``json`` and ``edges`` are rendered row by row
+only then.  Catalogue entries are lazy in the same way.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ def _upper_rows(g: PolarGraph):
             yield i, map(str, compress(count(i + 1), bit_flags(upper)))
 
 
-def edge_list_text(g: PolarGraph) -> str:
-    """One "i j" line per edge, i < j, in increasing order."""
-    return "".join(f"{i} " + f"\n{i} ".join(js) + "\n" for i, js in _upper_rows(g))
+def edge_list_text(g: PolarGraph) -> Iterator[str]:
+    """One "i j" line per edge, i < j, in increasing order; a chunk per row."""
+    return (f"{i} " + f"\n{i} ".join(js) + "\n" for i, js in _upper_rows(g))
 
 
 def graph6(g: PolarGraph) -> str:
@@ -79,17 +79,20 @@ def graph6(g: PolarGraph) -> str:
     return head + body[:groups].decode("ascii")
 
 
-def graph_json(g: PolarGraph) -> str:
+def graph_json(g: PolarGraph) -> Iterator[str]:
     """dumps_canonical({"provenance", "v", "edges": [[i, j], ...]}) + "\n",
-    with the edge list rendered row by row in the same sorted-key layout."""
-    edges = ",".join(f"[{i}," + f"],[{i},".join(js) + "]" for i, js in _upper_rows(g))
-    return (f'{{"edges":[{edges}],"provenance":{dumps_canonical(g.provenance)},'
-            f'"v":{g.n}}}\n')
+    in the same sorted-key layout, with a chunk per row of the edge list."""
+    yield '{"edges":['
+    sep = ""
+    for i, js in _upper_rows(g):
+        yield f"{sep}[{i}," + f"],[{i},".join(js) + "]"
+        sep = ","
+    yield f'],"provenance":{dumps_canonical(g.provenance)},"v":{g.n}}}\n'
 
 
 GRAPH_FORMATS = {
     "edges": edge_list_text,
-    "graph6": lambda g: graph6(g) + "\n",
+    "graph6": lambda g: (graph6(g) + "\n",),
     "json": graph_json,
 }
 
@@ -105,12 +108,8 @@ def eigenfunction_json(f: Eigenfunction) -> str:
 
 
 def eigenfunction_csv(f: Eigenfunction) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["vertex", "value"])
-    for v in sorted(f.values):
-        writer.writerow([v, str(f.values[v])])
-    return buf.getvalue()
+    # no field holds a comma, quote or line break, so csv.writer would quote none
+    return "vertex,value\n" + "".join(f"{v},{f.values[v]}\n" for v in sorted(f.values))
 
 
 def _integer(value, what: str) -> int:
@@ -160,6 +159,9 @@ def eigenfunction_from_csv(text: str) -> Eigenfunction:
             continue
         if len(row) != 2:
             raise SerializeError(f"CSV row {row!r} does not have two fields")
+        if any(c == "_" or c.isdecimal() and not c.isascii() for c in "".join(row)):
+            # which int() and Fraction() accept: "1_0" reads as 10, "\u0663" as 3
+            raise SerializeError(f"CSV row {row!r} holds an underscore or a non-ASCII digit")
         _put(values, int(row[0]), Fraction(row[1]))
     return Eigenfunction(values, 0, {})
 

@@ -395,7 +395,7 @@ def test_criterion7_reruns_are_byte_identical(tmp_path):
         catalog = oracle.enumerate_isolated_clique_pairs(g, 3)
         header, lines = serialize.catalog_json_lines(catalog, g.provenance)
         cache.write_jsonl(run_dir / "catalog.jsonl", header, lines)
-        (run_dir / "export.json").write_text(serialize.graph_json(g))
+        (run_dir / "export.json").write_text("".join(serialize.graph_json(g)))
         f = ef.theta1_polar(g)
         (run_dir / "function.json").write_text(serialize.eigenfunction_json(f))
         snapshots.append({p.name: p.read_bytes() for p in run_dir.iterdir()})

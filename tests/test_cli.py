@@ -398,6 +398,15 @@ def _file_with(name, text):
         lambda p: _first_entry(p).__setitem__(2, 1.0))), 0),
     (("verify", "--graph", "sp:2:2", "--theta", "1",
       "--function", _file_with("three.csv", "vertex,value\n3,1,junk\n")), 2),
+    # int() and Fraction() read "1_0" as 10 and an Arabic-Indic three as 3
+    (("verify", "--graph", "sp:2:2", "--theta", "1",
+      "--function", _file_with("under.csv", "vertex,value\n1_0,1\n")), 2),
+    (("verify", "--graph", "sp:2:2", "--theta", "1",
+      "--function", _file_with("under_value.csv", "vertex,value\n0,1_0\n")), 2),
+    (("verify", "--graph", "sp:2:2", "--theta", "1",
+      "--function", _file_with("digit.csv", "vertex,value\n\u0663,1\n")), 2),
+    (("verify", "--graph", "sp:2:2", "--theta", "1",
+      "--function", _file_with("digit_value.csv", "vertex,value\n0,\u0663\n")), 2),
     (("count-check", "--family", "vo+", "--m", "1", "--q", "3"), 2),
     (("enumerate", "--family", "sp", "--n", "2", "--q", "2", "--out", ""), 0),
 ])
@@ -562,6 +571,69 @@ def test_a_full_disk_on_stdout_exits_6_without_a_traceback(argv):
     assert proc.returncode == 6
     assert proc.stderr.startswith("error: cannot write to stdout: ")
     assert "Traceback" not in proc.stderr
+
+
+# the commands that write --out, each with whether it writes the file before
+# its summary line
+OUT_COMMANDS = [
+    (("build", *SP22, "--format", "edges"), False),
+    (("eigenfunction", *SP22, "--construct", "theta1-polar"), True),
+    (("enumerate", *SP22), True),
+]
+OUT_IDS = [args[0] for args, _ in OUT_COMMANDS]
+
+
+@pytest.mark.parametrize("args", [args for args, _ in OUT_COMMANDS], ids=OUT_IDS)
+def test_out_replaces_only_its_target_with_a_plainly_opened_files_mode(
+        args, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    notes = tmp_path / "results.tmp"  # what Path("results.out").with_suffix(".tmp") names
+    notes.write_text("my notes\n")
+    (tmp_path / "results.out").write_text("old\n")
+    os.chmod(tmp_path / "results.out", 0o600)
+    old_umask = os.umask(0o027)
+    try:
+        with open("plain", "w", encoding="utf-8"):
+            pass
+        result = run(*args, "--out", "results.out")
+    finally:
+        os.umask(old_umask)
+    assert result.exit_code == 0, result.output
+    assert notes.read_text() == "my notes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "results.out",
+                                                          "results.tmp"]
+    assert (tmp_path / "results.out").read_text() != "old\n"
+    assert stat.S_IMODE(os.stat("results.out").st_mode) \
+        == stat.S_IMODE(os.stat("plain").st_mode) == 0o640
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "pipe"])
+@pytest.mark.parametrize("args,file_first", OUT_COMMANDS, ids=OUT_IDS)
+def test_out_dev_stdout_keeps_the_files_place_in_stdout(
+        args, file_first, to_file, unbuffered, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    plain = run(*args, "--out", "f")
+    assert plain.exit_code == 0, plain.output
+    summary = plain.stdout.replace('"out":"f"', '"out":"/dev/stdout"')
+    written = (tmp_path / "f").read_text()
+    expected = (written + summary if file_first else summary + written).encode()
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "polareig.cli", *args, "--out", "/dev/stdout"]
+    if to_file:
+        with open(tmp_path / "stdout.txt", "wb") as fh:
+            proc = subprocess.run(argv, stdout=fh, stderr=subprocess.PIPE, env=env,
+                                  timeout=120)
+        received = (tmp_path / "stdout.txt").read_bytes()
+    else:
+        proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+        received = proc.stdout
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert received == expected
 
 
 def test_importing_the_cli_loads_neither_click_nor_dataclasses():

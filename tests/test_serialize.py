@@ -1,9 +1,13 @@
 """The row-by-row graph writers against list-based references, and the lazy
 catalogue path from the oracle to a JSON-lines file."""
 
+import os
 import random
 import runpy
+import stat
 import tracemalloc
+from collections import deque
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -86,7 +90,7 @@ def random_graph(n, seed):
 def test_graph_writers_match_the_references_on_the_grid(label):
     g = graph(label)
     for writer, reference in WRITERS:
-        assert writer(g) == reference(g), writer.__name__
+        assert "".join(writer(g)) == reference(g), writer.__name__
 
 
 # n = 63 switches the graph6 header to its long form; n(n-1)/2 runs through
@@ -96,7 +100,7 @@ def test_graph_writers_match_the_references_on_random_graphs(n):
     complete = graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     for g in (random_graph(n, n), complete, graph_from_edges(n, [])):
         for writer, reference in WRITERS:
-            assert writer(g) == reference(g), (writer.__name__, g.adj)
+            assert "".join(writer(g)) == reference(g), (writer.__name__, g.adj)
 
 
 @pytest.mark.parametrize("g", [random_graph(63, 1), random_graph(64, 2),
@@ -121,15 +125,19 @@ def test_graph6_refuses_a_graph_too_large_for_its_header():
                          ids=[w.__name__ for w, _ in WRITERS])
 def test_graph_writers_hold_no_object_per_edge(writer):
     g = graph("u:2:16")
-    writer(g)  # warm any lazily built state before measuring
+    size = sum(map(len, writer(g)))  # also warms any lazily built state
     tracemalloc.start()
     try:
-        writer(g)
+        deque(writer(g), maxlen=0)  # drained chunk by chunk, never joined
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the list-based writers peak at 3.4 to 7.5 MiB here
-    assert peak < 2.5 * 2**20
+    # the texts are 442 kB (json), 353 kB (edges) and 102 kB (graph6); the
+    # list-based writers peak at 3.4 to 7.5 MiB here
+    if writer is serialize.graph6:  # one string, rendered a column at a time
+        assert peak < 2.5 * 2**20
+    else:  # one row at a time, about 8 kB
+        assert peak < size / 16
 
 
 # -- catalogues ------------------------------------------------------------------
@@ -178,3 +186,52 @@ def test_write_jsonl_removes_its_temporary_file_when_the_entries_fail(tmp_path):
         cache.write_jsonl(path, {"kind": "x"}, entries())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
     assert path.read_text() == "old\n"
+
+
+# -- the one writer of every output file -------------------------------------------
+
+def test_write_text_removes_only_its_own_temporary_file_on_a_failure(tmp_path):
+    def chunks():
+        yield "partial\n"
+        raise RuntimeError("chunk source failed")
+
+    path = tmp_path / "c.txt"
+    path.write_text("old\n")
+    (tmp_path / "c.tmp").write_text("notes\n")
+    with pytest.raises(RuntimeError, match="chunk source failed"):
+        cache.write_text(path, chunks())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.tmp", "c.txt"]
+    assert path.read_text() == "old\n" and (tmp_path / "c.tmp").read_text() == "notes\n"
+
+
+def test_write_text_skips_a_temporary_name_another_file_holds(tmp_path):
+    path = tmp_path / "c.txt"
+    taken = tmp_path / f"c.txt.{os.getpid()}-0.tmp"  # the first name it tries
+    taken.write_text("someone else's\n")
+    cache.write_text(path, iter(["a\n", "b\n"]))
+    assert path.read_text() == "a\nb\n"
+    assert taken.read_text() == "someone else's\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt", taken.name]
+
+
+def test_write_text_gives_the_mode_of_a_plainly_opened_file(tmp_path):
+    replaced = tmp_path / "old.txt"
+    replaced.write_text("old\n")
+    replaced.chmod(0o600)
+    old_umask = os.umask(0o027)
+    try:
+        with open(tmp_path / "plain", "w", encoding="utf-8"):
+            pass
+        cache.write_text(replaced, ["new\n"])
+        cache.write_text(tmp_path / "new.txt", ["new\n"])
+    finally:
+        os.umask(old_umask)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"plain": 0o640, "old.txt": 0o640, "new.txt": 0o640}
+    assert replaced.read_text() == "new\n"
+
+
+def test_csv_eigenfunctions_still_read_every_decimal_form():
+    f = serialize.eigenfunction_from_csv(
+        "vertex,value\n 0 ,+1.5\n1,-3/6\n2,1e1\n+3,-0.25\n4,-7\n")
+    assert f.values == {0: Fraction(3, 2), 1: Fraction(-1, 2), 2: 10, 3: Fraction(-1, 4), 4: -7}
