@@ -398,6 +398,8 @@ def _file_with(name, text):
         lambda p: _first_entry(p).__setitem__(2, 1.0))), 0),
     (("verify", "--graph", "sp:2:2", "--theta", "1",
       "--function", _file_with("three.csv", "vertex,value\n3,1,junk\n")), 2),
+    (("count-check", "--family", "vo+", "--m", "1", "--q", "3"), 2),
+    (("enumerate", "--family", "sp", "--n", "2", "--q", "2", "--out", ""), 0),
     # int() and Fraction() read "1_0" as 10 and an Arabic-Indic three as 3
     (("verify", "--graph", "sp:2:2", "--theta", "1",
       "--function", _file_with("under.csv", "vertex,value\n1_0,1\n")), 2),
@@ -407,8 +409,6 @@ def _file_with(name, text):
       "--function", _file_with("digit.csv", "vertex,value\n\u0663,1\n")), 2),
     (("verify", "--graph", "sp:2:2", "--theta", "1",
       "--function", _file_with("digit_value.csv", "vertex,value\n0,\u0663\n")), 2),
-    (("count-check", "--family", "vo+", "--m", "1", "--q", "3"), 2),
-    (("enumerate", "--family", "sp", "--n", "2", "--q", "2", "--out", ""), 0),
 ])
 def test_cli_input_errors_exit_with_documented_codes(args, code, tmp_path):
     (tmp_path / "file").write_text("not a directory")
