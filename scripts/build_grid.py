@@ -29,12 +29,10 @@ GRID = [
 def main():
     start = time.time()
     for family, size, q in GRID:
-        n = size if family not in ("vo+", "vo-") else None
-        m = size if family in ("vo+", "vo-") else None
         label = f"{family}:{size}:{q}"
         built = time.perf_counter()
         try:
-            g = cli.build_graph(family, q, n, m)
+            g = cli.build_graph(family, q, size)
         except cli.ConfigError as exc:
             print(f"{label:12s} builder error (expected for rank < 2): {exc}")
             continue

@@ -28,13 +28,11 @@ UNITARY_ORDERS = (4, 9)
 def main():
     start = time.time()
     for family, size, q in INSTANCES:
-        n = size if family not in ("vo+", "vo-") else None
-        m = size if family in ("vo+", "vo-") else None
-        g = cli.build_graph(family, q, n, m)
+        g = cli.build_graph(family, q, size)
         comparison = oracle.count_comparison(g)
         print(json.dumps(comparison.to_json(), sort_keys=True))
     for q in UNITARY_ORDERS:
-        g = cli.build_graph("u", q, 2, None)
+        g = cli.build_graph("u", q, 2)
         s = -graphs.spectrum(g.srg_params()).theta2
         r = g.ctx.sqrt_q
         closed = r ** 4 * (r * r + 1) * (r * r - r + 1) // 2

@@ -109,6 +109,11 @@ def counter_planes(adj, part: int) -> list[int]:
     return sum_planes(map(adj.__getitem__, bit_indices(part)), part.bit_count())
 
 
+def constant_planes(c: int) -> list[int]:
+    """Bit-sliced counter holding c at every vertex (-1 is the all-ones plane)."""
+    return [-(c >> b & 1) for b in range(c.bit_length())]
+
+
 def counts_differ(planes_a, planes_b, mask: int) -> int:
     """The vertices of mask on which two bit-sliced counters disagree; the
     shorter plane list reads as zero above its top plane."""

@@ -52,8 +52,9 @@ def write_text(path: str | os.PathLike | None, chunks: Iterable[str]) -> None:
     written through sys.stdout, in order with the rest of the output; any
     other existing file that is not regular (a FIFO, a device) is written in
     place.  A regular or new file, a symlink's target and not the link, is
-    replaced by a temporary file this call creates exclusively beside it; on
-    any failure, one raised by chunks included, only that file is removed."""
+    replaced by a temporary file this call creates exclusively beside it (an
+    error creating it names path); on any failure, one raised by chunks
+    included, only that file is removed."""
     if path is None or _same_file(path, sys.stdout):
         sys.stdout.writelines(chunks)
     elif os.path.exists(path) and not os.path.isfile(path):
@@ -63,9 +64,13 @@ def write_text(path: str | os.PathLike | None, chunks: Iterable[str]) -> None:
         target = os.path.realpath(path)
         for n in count():  # "x": a name no file held, and the mode "w" gives a new file
             tmp = f"{target}.{os.getpid()}-{n}.tmp"
-            with suppress(FileExistsError):
+            try:
                 fh = open(tmp, "x", encoding="utf-8")
                 break
+            except FileExistsError:
+                pass
+            except OSError as exc:  # name the file asked for, not the temporary one
+                raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         try:
             with fh:
                 fh.writelines(chunks)

@@ -1,6 +1,8 @@
 """Command-line front end, on the standard library's argparse.
 
-Subcommands: build, eigenfunction, enumerate, count-check, verify.
+Subcommands: build, eigenfunction, enumerate, count-check, verify.  A graph
+is a family, q and one size: the rank --n of sp/o+/o/o-/u or the --m of vo±
+(``family:size:q`` for verify); the other size flag exits 2 before any build.
 Exit codes: 0 success, 2 invalid configuration or usage (argparse prints its
 usage line and the error on stderr), 3 desk-scale cap exceeded,
 4 verification failure, 5 count-check formula mismatch (informational),
@@ -24,20 +26,20 @@ from . import forms, graphs, gf, oracle, polarspace, serialize
 VERTEX_CAP = 8192
 
 GRAPH_FAMILIES = ("sp", "o+", "o", "o-", "u", "vo+", "vo-")
+AFFINE_FAMILIES = ("vo+", "vo-")
 
-# construction -> the families it serves, each with the --n it needs (None: any)
+# construction -> the families it serves, each with the sizes it takes (None:
+# any): theta2-unitary needs H(3, q^2), so --n 2.  On vo+ and vo- it needs an
+# (m-2)-space of the hyperbolic quadric or a point of the elliptic one, so
+# --m >= 2 (theta1-cliquepair takes its pair from theta1-elliptic on vo-)
+_M_FROM_2 = range(2, sys.maxsize)
 CONSTRUCTIONS = {
     "theta1-polar": dict.fromkeys(("sp", "o+", "o", "o-", "u")),
-    "theta1-hyperbolic": {"vo+": None},
-    "theta1-elliptic": {"vo-": None},
-    "theta1-cliquepair": dict.fromkeys(GRAPH_FAMILIES),
-    "theta2-unitary": {"u": 2},
+    "theta1-hyperbolic": {"vo+": _M_FROM_2},
+    "theta1-elliptic": {"vo-": _M_FROM_2},
+    "theta1-cliquepair": {**dict.fromkeys(GRAPH_FAMILIES), "vo-": _M_FROM_2},
+    "theta2-unitary": {"u": range(2, 3)},
 }
-# on these families the construction needs an (m-2)-space of the hyperbolic
-# quadric or a point of the elliptic one, so --m >= 2 (theta1-cliquepair
-# takes its pair from theta1-elliptic on vo-)
-NEEDS_M2 = {("theta1-hyperbolic", "vo+"), ("theta1-elliptic", "vo-"),
-            ("theta1-cliquepair", "vo-")}
 
 
 class ConfigError(Exception):
@@ -52,9 +54,10 @@ def _echo_json(payload: dict):
     print(_cache.dumps_canonical(payload))
 
 
-def build_graph(family: str, q: int, n: int | None, m: int | None,
+def build_graph(family: str, q: int, size: int | None = None,
                 cap: int = VERTEX_CAP) -> graphs.PolarGraph:
-    """Construct the requested graph, enforcing the field and vertex caps."""
+    """Construct the requested graph, enforcing the field and vertex caps.
+    size is the rank n of sp/o+/o/o-/u (default 2), or the m of vo± (required)."""
     if family not in GRAPH_FAMILIES:
         raise ConfigError(f"unknown family {family!r}")
     try:
@@ -63,16 +66,15 @@ def build_graph(family: str, q: int, n: int | None, m: int | None,
         raise ConfigError(str(exc)) from exc
     except gf.CapExceeded as exc:
         raise CapError(str(exc)) from exc
-    if family in ("vo+", "vo-"):
-        if m is None:
+    if family in AFFINE_FAMILIES:
+        if size is None:
             raise ConfigError("affine families need --m")
-        if m < 1:
-            raise ConfigError(f"m = {m} must be >= 1")
-        if q ** (2 * m) > cap:
-            raise CapError(f"q^(2m) = {q ** (2 * m)} exceeds the vertex cap {cap}")
-        return graphs.affine_polar_graph(m, 1 if family == "vo+" else -1, ctx)
-    if n is None:
-        n = 2
+        if size < 1:
+            raise ConfigError(f"m = {size} must be >= 1")
+        if q ** (2 * size) > cap:
+            raise CapError(f"q^(2m) = {q ** (2 * size)} exceeds the vertex cap {cap}")
+        return graphs.affine_polar_graph(size, 1 if family == "vo+" else -1, ctx)
+    n = 2 if size is None else size
     dim = {"sp": 2 * n, "o+": 2 * n, "o": 2 * n + 1, "o-": 2 * n + 2,
            "u": 2 * n}[family]
     try:
@@ -90,19 +92,17 @@ def build_graph(family: str, q: int, n: int | None, m: int | None,
         raise ConfigError(str(exc)) from exc
 
 
-def parse_graph_spec(spec: str) -> tuple[str, int, int, int | None, int | None]:
-    """family:n_or_m:q, e.g. sp:2:2 or vo-:2:3."""
+def parse_graph_spec(spec: str) -> tuple[str, int, int]:
+    """(family, size, q) of family:size:q, e.g. sp:2:2 or vo-:2:3, with
+    size as build_graph reads it."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"graph spec {spec!r} is not family:n:q")
-    family = parts[0]
     try:
         size, q = int(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad graph spec {spec!r}") from exc
-    if family in ("vo+", "vo-"):
-        return family, size, q, None, size
-    return family, size, q, size, None
+    return parts[0], size, q
 
 
 def build_summary(g: graphs.PolarGraph) -> dict:
@@ -135,7 +135,7 @@ def build_summary(g: graphs.PolarGraph) -> dict:
 
 def build(args):
     """Build a graph, verify strong regularity, print the parameter summary."""
-    g = _build_or_exit(args.family, args.q, args.n, args.m, args.cap)
+    g = _build_or_exit(args.family, args.q, _graph_size(args), args.cap)
     _echo_json(build_summary(g))
     if args.fmt:
         _write_or_exit(args.out, serialize.GRAPH_FORMATS[args.fmt](g))
@@ -143,15 +143,17 @@ def build(args):
 
 def eigenfunction(args):
     """Run a construction, verify it, and write the eigenfunction file."""
-    family, n, m, construct = args.family, args.n, args.m, args.construct
+    family, size, construct = args.family, _graph_size(args), args.construct
     served = CONSTRUCTIONS[construct]
-    if family not in served or served[family] not in (None, 2 if n is None else n):
-        need = " or ".join(f if r is None else f"{f} with --n {r}"
+    sizes = served.get(family)
+    # a size of None is build_graph's default: rank 2, or no m, which it refuses
+    if family not in served or sizes and len(sizes) == 1 and size not in (None, sizes.start):
+        need = " or ".join(f if r is None or len(r) > 1 else f"{f} with --n {r.start}"
                            for f, r in served.items())
         raise SystemExit(_fail(2, f"{construct} needs family {need}"))
-    if (construct, family) in NEEDS_M2 and m is not None and m < 2:
-        raise SystemExit(_fail(2, f"{construct} needs family {family} with --m >= 2"))
-    g = _build_or_exit(family, args.q, n, m, args.cap)
+    if sizes and size is not None and size not in sizes:
+        raise SystemExit(_fail(2, f"{construct} needs family {family} with --m >= {sizes.start}"))
+    g = _build_or_exit(family, args.q, size, args.cap)
     try:
         f = _construct(g, construct)
         report = ef.verify_eigenfunction(g, f)
@@ -160,14 +162,7 @@ def eigenfunction(args):
     if args.out:
         _write_or_exit(args.out, [serialize.eigenfunction_json(f) if args.fmt == "json"
                                   else serialize.eigenfunction_csv(f)])
-    _echo_json({
-        "construct": construct,
-        "theta": report.theta,
-        "bound": report.bound,
-        "support_size": report.support_size,
-        "tight": report.tight,
-        "out": args.out,
-    })
+    _echo_json({"construct": construct, **report._asdict(), "out": args.out})
     raise SystemExit(0 if report.tight else 4)
 
 
@@ -186,7 +181,7 @@ def _construct(g: graphs.PolarGraph, name: str) -> ef.Eigenfunction:
 def enumerate_pairs(args):
     """Exhaustively catalogue isolated-clique or complete-bipartite pairs."""
     kind, size, out, cache_dir = args.kind, args.size, args.out, args.cache_dir
-    g = _build_or_exit(args.family, args.q, args.n, args.m, args.cap)
+    g = _build_or_exit(args.family, args.q, _graph_size(args), args.cap)
     params = g.srg_params()
     spec = graphs.spectrum(params)
     if size is None:
@@ -201,15 +196,15 @@ def enumerate_pairs(args):
         if target is not None:  # with no file to write, render no line
             header, lines = serialize.catalog_json_lines(catalog, g.provenance)
             _cache.write_jsonl(Path(target), header, lines)
-    except OSError as exc:
-        raise SystemExit(_fail(6, f"cannot write catalog: {exc}"))
+    except OSError as exc:  # the error names the catalogue file or its directory
+        raise SystemExit(_fail(6, f"cannot write {out or 'catalog'}: {exc}"))
     _echo_json({"kind": catalog.kind, "s": size, "counts": catalog.counts(),
                 "out": str(target) if target else None})
 
 
 def count_check(args):
     """Compare the enumerated pair count with the closed formulas (exit 5 on mismatch)."""
-    g = _build_or_exit(args.family, args.q, args.n, args.m, args.cap)
+    g = _build_or_exit(args.family, args.q, _graph_size(args), args.cap)
     try:
         comparison = oracle.count_comparison(g)
     except oracle.OracleError as exc:
@@ -225,10 +220,10 @@ def verify(args):
     if theta is None and serialize.is_csv(function_path):
         raise SystemExit(_fail(2, "CSV eigenfunction files need --theta"))
     try:
-        family, size, q, n, m = parse_graph_spec(graph_spec)
+        family, size, q = parse_graph_spec(graph_spec)
     except ConfigError as exc:
         raise SystemExit(_fail(2, str(exc)))
-    g = _build_or_exit(family, q, n, m, args.cap)
+    g = _build_or_exit(family, q, size, args.cap)
     try:
         f = serialize.load_eigenfunction(function_path)
     except OSError as exc:
@@ -251,15 +246,23 @@ def verify(args):
         raise SystemExit(4)
     except ef.EigenfunctionError as exc:
         raise SystemExit(_fail(4, str(exc)))
-    _echo_json({"valid": True, "theta": report.theta, "bound": report.bound,
-                "support_size": report.support_size, "tight": report.tight})
+    _echo_json({"valid": True, **report._asdict()})
 
 
-def _build_or_exit(family, q, n, m, cap) -> graphs.PolarGraph:
+def _graph_size(args) -> int | None:
+    """The size the family takes: the rank --n of a polar family or the --m
+    of an affine one.  The other flag exits 2, before anything is built."""
+    own, other = ("m", "n") if args.family in AFFINE_FAMILIES else ("n", "m")
+    if getattr(args, other) is not None:
+        raise SystemExit(_fail(2, f"family {args.family} takes --{own}, not --{other}"))
+    return getattr(args, own)
+
+
+def _build_or_exit(family, q, size, cap) -> graphs.PolarGraph:
     """The requested graph, checked to be primitive strongly regular; every
     command reads its parameters, so the check costs nothing extra."""
     try:
-        g = build_graph(family, q, n, m, cap=cap)
+        g = build_graph(family, q, size, cap=cap)
     except ConfigError as exc:
         raise SystemExit(_fail(2, str(exc)))
     except CapError as exc:

@@ -244,9 +244,7 @@ def srg_check(g: PolarGraph) -> SrgParams:
     # neighbour and its least non-neighbour
     lam = (adj[0] & adj[(adj[0] & -adj[0]).bit_length() - 1]).bit_count()
     mu = (adj[0] & adj[(apart0 & -apart0).bit_length() - 1]).bit_count()
-    # counters holding lam (mu) at every vertex; -1 is the all-ones plane
-    lam_planes = [-(lam >> b & 1) for b in range(lam.bit_length())]
-    mu_planes = [-(mu >> b & 1) for b in range(mu.bit_length())]
+    lam_planes, mu_planes = bitsets.constant_planes(lam), bitsets.constant_planes(mu)
     width = -(-n // 8)
     rows = [row.to_bytes(width, "little") for row in adj]  # trimmed per block
     dropped = 0  # the bytes cut off the front of every row so far
@@ -327,10 +325,11 @@ def _sized_cliques(g: PolarGraph):
         return
     nexus = Fraction(params.mu, -spec.theta2)
     count = int(nexus) if nexus.denominator == 1 else None
-    for bits in bitsets.cliques_within(g.adj, (1 << g.n) - 1, int(bound)):
-        ok = count is not None and all(
-            (g.adj[u] & bits).bit_count() == count
-            for u in range(g.n) if not bits >> u & 1)
+    full = (1 << g.n) - 1
+    for bits in bitsets.cliques_within(g.adj, full, int(bound)):
+        # every vertex off the clique sees count of its vertices
+        ok = count is not None and not bitsets.counts_differ(
+            bitsets.counter_planes(g.adj, bits), bitsets.constant_planes(count), full ^ bits)
         yield CliqueInfo(bitsets.bit_indices(bits), ok, count if ok else None)
 
 

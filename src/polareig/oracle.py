@@ -85,17 +85,8 @@ class CountComparison(Record):
         return self.oracle == self.derived
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "q": self.q,
-            "m_or_n": self.m_or_n,
-            "s": self.s,
-            "oracle": self.oracle,
-            "printed": self.printed,
-            "derived": self.derived,
-            "printed_matches": self.printed_matches,
-            "derived_matches": self.derived_matches,
-        }
+        return {**self._asdict(), "printed_matches": self.printed_matches,
+                "derived_matches": self.derived_matches}
 
 
 # -- the pair scans --------------------------------------------------------------
@@ -322,20 +313,12 @@ def count_comparison(g: PolarGraph) -> CountComparison:
     fam = g.provenance["family"]
     space: PolarSpace = g.space
     if g.provenance.get("kind") in ("collinearity", "unitary"):
-        printed = printed_polar_count(space)
-        derived = derived_polar_count(space)
-        m_or_n = space.rank()
-    elif fam == "vo+":
-        m = g.provenance["m"]
-        printed = printed_hyperbolic_count(space, m)
-        derived = derived_hyperbolic_count(space, m)
-        m_or_n = m
-    elif fam == "vo-":
-        m = g.provenance["m"]
-        printed = printed_elliptic_count(space, m)
-        derived = derived_elliptic_count(space, m)
-        m_or_n = m
+        size = space.rank()
+        printed, derived = printed_polar_count(space), derived_polar_count(space)
+    elif fam in ("vo+", "vo-"):
+        size, hyperbolic = g.provenance["m"], fam == "vo+"
+        printed = (printed_hyperbolic_count if hyperbolic else printed_elliptic_count)(space, size)
+        derived = (derived_hyperbolic_count if hyperbolic else derived_elliptic_count)(space, size)
     else:
         raise OracleError(f"no counting formulas for family {fam!r}")
-    return CountComparison(fam, g.provenance["q"], m_or_n, s,
-                           len(catalog.pairs), printed, derived)
+    return CountComparison(fam, g.provenance["q"], size, s, len(catalog.pairs), printed, derived)

@@ -3,9 +3,9 @@
 A subclass names its fields as class annotations, in order, after those of
 its parent (a subclass that names none only adds methods).  Instances are
 built by position or keyword, compare and hash by the tuple of their field
-values, print as ``Name(field=value, ...)`` and refuse assignment and
-deletion.  They keep an instance ``__dict__``, so ``functools.cached_property``
-works on them.
+values (``_asdict()`` gives them by name), print as
+``Name(field=value, ...)`` and refuse assignment and deletion.  They keep an
+instance ``__dict__``, so ``functools.cached_property`` works on them.
 """
 
 from operator import attrgetter
@@ -40,6 +40,10 @@ class Record:
 
     def __hash__(self):
         return hash(self._astuple(self))
+
+    def _asdict(self) -> dict:
+        """The fields by name, in declaration order."""
+        return dict(zip(self._fields, self._astuple(self)))
 
     def __repr__(self):
         body = ", ".join(f"{name}={value!r}"

@@ -115,6 +115,18 @@ def test_eigenfunction_constructions(family, size, q, construct, support):
     assert payload["support_size"] == support and payload["tight"]
 
 
+def _refuse_builds(monkeypatch):
+    """The build_graph calls a command makes, each refused with exit 2."""
+    built = []
+
+    def stub_build(*args, **kwargs):
+        built.append(args)
+        raise cli.ConfigError("stub build")
+
+    monkeypatch.setattr(cli, "build_graph", stub_build)
+    return built
+
+
 @pytest.mark.parametrize("construct,family,flag,size,q,served", [
     ("theta1-polar", "vo-", "--m", "2", "2", False),
     ("theta1-hyperbolic", "sp", "--n", "2", "2", False),
@@ -127,19 +139,54 @@ def test_eigenfunction_constructions(family, size, q, construct, support):
 ])
 def test_constructions_reject_other_families_before_the_build(
         construct, family, flag, size, q, served, monkeypatch):
-    built = []
-
-    def stub_build(*args, **kwargs):
-        built.append(args)
-        raise cli.ConfigError("stub build")
-
-    monkeypatch.setattr(cli, "build_graph", stub_build)
+    built = _refuse_builds(monkeypatch)
     result = run("eigenfunction", "--family", family, flag, size, "--q", q,
                  "--construct", construct)
     assert result.exit_code == 2
     assert bool(built) == served
     assert ("stub build" in result.output) == served
     assert (f"{construct} needs family" in result.output) != served
+
+
+@pytest.mark.parametrize("command", [
+    ("build",), ("eigenfunction", "--construct", "theta1-cliquepair"),
+    ("enumerate",), ("count-check",),
+], ids=lambda c: c[0])
+@pytest.mark.parametrize("family,sizes,own,other", [
+    ("sp", ("--m", "3"), "--n", "--m"),
+    ("u", ("--n", "2", "--m", "2"), "--n", "--m"),
+    ("vo+", ("--n", "7"), "--m", "--n"),
+    ("vo-", ("--m", "2", "--n", "2"), "--m", "--n"),
+])
+def test_the_size_flag_of_the_other_kind_exits_2_before_the_build(
+        command, family, sizes, own, other, monkeypatch):
+    built = _refuse_builds(monkeypatch)
+    result = run(command[0], "--family", family, *sizes, "--q", "4", *command[1:])
+    assert result.exit_code == 2 and not built
+    assert result.output == f"error: family {family} takes {own}, not {other}\n"
+
+
+@pytest.mark.parametrize("family,size,q", [
+    ("sp", 3, 2), ("o+", 2, 3), ("o", 2, 3), ("o-", 2, 2), ("u", 2, 4),
+    ("vo+", 2, 3), ("vo-", 2, 2),
+])
+def test_verify_graph_spec_builds_what_the_size_flag_builds(family, size, q, tmp_path,
+                                                            monkeypatch):
+    provenances = []
+    build_graph = cli.build_graph
+
+    def record(*args, **kwargs):
+        g = build_graph(*args, **kwargs)
+        provenances.append(g.provenance)
+        return g
+
+    monkeypatch.setattr(cli, "build_graph", record)
+    # the function file is read after the build, so a missing one exits 6 then
+    assert run("verify", "--graph", f"{family}:{size}:{q}",
+               "--function", str(tmp_path / "none.json")).exit_code == 6
+    flag = "--m" if family.startswith("vo") else "--n"
+    assert run("build", "--family", family, flag, str(size), "--q", str(q)).exit_code == 0
+    assert len(provenances) == 2 and provenances[0] == provenances[1]
 
 
 def test_verify_detects_a_corrupted_function(tmp_path):
@@ -607,6 +654,18 @@ def test_out_replaces_only_its_target_with_a_plainly_opened_files_mode(
         == stat.S_IMODE(os.stat("plain").st_mode) == 0o640
 
 
+@pytest.mark.parametrize("args", [args for args, _ in OUT_COMMANDS], ids=OUT_IDS)
+def test_out_in_a_missing_directory_exits_6_naming_the_given_path(
+        args, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    result = run(*args, "--out", "nodir/out.txt")
+    assert result.exit_code == 6, result.output
+    assert "error: cannot write nodir/out.txt: " in result.stderr
+    assert result.stderr.endswith(": 'nodir/out.txt'\n")
+    assert ".tmp" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("to_file", [True, False], ids=["file", "pipe"])
@@ -689,6 +748,11 @@ def test_any_small_argv_exits_with_a_documented_code(argv, stored_function):
     assert result.exception is None or isinstance(result.exception, SystemExit), \
         (argv, repr(result.exception))
     assert result.exit_code in {0, 2, 3, 4, 5, 6}, (argv, result.output)
+    # a size flag the family does not take is refused, never ignored
+    other = "--n" if argv[2] in cli.AFFINE_FAMILIES else "--m"
+    if argv[0] != "verify" and other in argv:
+        assert result.exit_code == 2, (argv, result.output)
+        assert result.output.startswith(f"error: family {argv[2]} takes "), argv
 
 
 def _edited(edit):

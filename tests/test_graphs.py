@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from polareig.gf import field_new
 from polareig.graphs import (
     CliqueInfo, FewerThanTwoCliques, Imprimitive, IrrationalEigenvalues,
     NotRegular, NotStronglyRegular, RankTooLow, SrgParams,
-    affine_polar_graph, cliques_of_size, delsarte_cliques,
+    affine_polar_graph, cliques_of_size, delsarte_bound, delsarte_cliques,
     graph_from_edges, max_intersecting_delsarte_pair, spectrum, srg_check,
 )
 
@@ -105,8 +106,7 @@ def _grid_instances():
 @pytest.mark.parametrize("family,size,q", _grid_instances(),
                          ids=lambda entry: str(entry))
 def test_srg_check_equals_the_pair_loop_on_the_grid(family, size, q):
-    affine = family.startswith("vo")
-    g = cli.build_graph(family, q, None if affine else size, size if affine else None)
+    g = cli.build_graph(family, q, size)
     assert srg_check(g) == _reference_srg_check(g)
 
 
@@ -313,6 +313,39 @@ def test_delsarte_cliques_affine_and_unitary(vo_plus_2, vo_minus_2, u44):
     assert delsarte_cliques(vo_minus_2) == []
     uu = delsarte_cliques(u44)
     assert len(uu) == 27 and all(len(c) == 5 and c.nexus == 1 for c in uu)
+
+
+def _reference_delsarte_cliques(g):
+    """delsarte_cliques by a loop over every vertex off each clique."""
+    params = g.srg_params()
+    spec = spectrum(params)
+    bound = delsarte_bound(params, spec)
+    nexus = Fraction(params.mu, -spec.theta2)
+    if bound.denominator != 1:
+        return []
+    out = []
+    for bits in cliques_of_size(g, int(bound)):
+        ok = nexus.denominator == 1 and all(
+            (g.adj[u] & bits).bit_count() == nexus for u in range(g.n) if not bits >> u & 1)
+        out.append(CliqueInfo(bit_indices(bits), ok, int(nexus) if ok else None))
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["sp42", "sp43", "rook_o43", "gq_o62", "u44",
+                                     "vo_plus_2", "vo_minus_3", "switched_sp42"])
+def test_delsarte_cliques_equal_the_outside_count_loop(fixture, request):
+    if fixture == "switched_sp42":
+        # degrees kept, but some triangles are no longer regular; the
+        # claimed parameters stand in for a check the graph would fail
+        sp42 = request.getfixturevalue("sp42")
+        g = _first_switch(sp42)
+        g._srg = sp42.srg_params()
+    else:
+        g = request.getfixturevalue(fixture)
+    cliques = delsarte_cliques(g)
+    assert cliques == _reference_delsarte_cliques(g)
+    if fixture == "switched_sp42":  # both outcomes of the check occur
+        assert {c.is_delsarte for c in cliques} == {True, False}
 
 
 @pytest.mark.parametrize("fixture", [

@@ -171,8 +171,7 @@ def test_catalog_counts_are_shift_invariant(vo_plus_2, vo_minus_2):
     ("vo-", 2, 2),
 ])
 def test_isolated_catalog_matches_reference(family, size, q, tmp_path):
-    affine = family.startswith("vo")
-    g = build_graph(family, q, None if affine else size, size if affine else None)
+    g = build_graph(family, q, size)
     s = graphs.spectrum(g.srg_params()).theta1 + 1
     paths = []
     for run in ("first", "second"):
@@ -190,8 +189,7 @@ def test_isolated_catalog_matches_reference(family, size, q, tmp_path):
     ("vo+", 2, 2, 3), ("sp", 2, 3, 4),
 ])
 def test_bipartite_catalog_matches_reference(family, size, q, s):
-    affine = family.startswith("vo")
-    g = build_graph(family, q, None if affine else size, size if affine else None)
+    g = build_graph(family, q, size)
     catalog = enumerate_bipartite_pairs(g, s)
     assert catalog.pairs
     assert (catalog.pairs, catalog.outside_regular) == reference_bipartite_pairs(g, s)
@@ -265,8 +263,7 @@ def test_kept_masks_match_the_brute_force_masks_on_random_graphs(joined, data):
 def test_isolated_pair_counts_where_the_partner_pool_prunes(family, size, q, count):
     # most cliques here keep fewer than s vertices off their neighbourhood,
     # so the scan drops them before they are complete
-    affine = family.startswith("vo")
-    g = build_graph(family, q, None if affine else size, size if affine else None)
+    g = build_graph(family, q, size)
     s = graphs.spectrum(g.srg_params()).theta1 + 1
     assert len(enumerate_isolated_clique_pairs(g, s)) == count
 

@@ -41,6 +41,7 @@ def test_every_value_class_is_a_record_with_its_fields(cls, fields):
     assert by_position == by_keyword
     assert hash(by_position) == hash(by_keyword) == hash(values)
     assert tuple(getattr(by_position, f) for f in fields) == values
+    assert list(by_position._asdict().items()) == list(zip(fields, values))
 
 
 def test_equality_and_hash_are_by_field():

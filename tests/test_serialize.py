@@ -74,9 +74,7 @@ WRITERS = [
 @lru_cache(maxsize=None)
 def graph(label):
     family, size, q = label.split(":")
-    affine = family.startswith("vo")
-    return cli.build_graph(family, int(q), None if affine else int(size),
-                           int(size) if affine else None)
+    return cli.build_graph(family, int(q), int(size))
 
 
 def random_graph(n, seed):
