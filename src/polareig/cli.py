@@ -99,8 +99,8 @@ def parse_graph_spec(spec: str) -> tuple[str, int, int]:
     if len(parts) != 3:
         raise ConfigError(f"graph spec {spec!r} is not family:n:q")
     try:
-        size, q = int(parts[1]), int(parts[2])
-    except ValueError as exc:
+        size, q = _integer(parts[1]), _integer(parts[2])
+    except argparse.ArgumentTypeError as exc:
         raise ConfigError(f"bad graph spec {spec!r}") from exc
     return parts[0], size, q
 
@@ -297,11 +297,19 @@ def _file_name(value: str) -> str:
     return value
 
 
-def _size(value: str) -> int:
+def _integer(value: str) -> int:
+    """int(value) under the CSV reader's rule: an underscore or a non-ASCII
+    digit, both of which int() accepts, makes it a usage error."""
+    if not serialize.plain_digits(value):
+        raise argparse.ArgumentTypeError(f"{value!r} holds an underscore or a non-ASCII digit")
     try:
-        size = int(value)
+        return int(value)
     except ValueError:
-        size = 0
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+
+
+def _size(value: str) -> int:
+    size = _integer(value)
     if size < 1:
         raise argparse.ArgumentTypeError(f"{value!r} is not an integer >= 1")
     return size
@@ -323,11 +331,11 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
         sub.set_defaults(run=run)
         if graph_options:
             sub.add_argument("--family", required=True, choices=GRAPH_FAMILIES)
-            sub.add_argument("--q", required=True, type=int,
+            sub.add_argument("--q", required=True, type=_integer,
                              help=f"field size, a prime power up to {gf.DESK_SCALE_CAP}")
-            sub.add_argument("--n", type=int, help="rank for sp/o+/o/o-/u families")
-            sub.add_argument("--m", type=int, help="half the dimension for vo+/vo-")
-        sub.add_argument("--cap", type=int, default=VERTEX_CAP,
+            sub.add_argument("--n", type=_integer, help="rank for sp/o+/o/o-/u families")
+            sub.add_argument("--m", type=_integer, help="half the dimension for vo+/vo-")
+        sub.add_argument("--cap", type=_integer, default=VERTEX_CAP,
                          help="vertex cap (default: %(default)s)")
         # --cache-dir names where enumerate writes its catalogue when --out is
         # absent; every other command accepts it and ignores it
@@ -363,7 +371,7 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
                          type=_file_name,
                          help="JSON or CSV eigenfunction; a CSV file has no graph "
                               "provenance, so it is checked against --graph as given")
-        sub.add_argument("--theta", type=int,
+        sub.add_argument("--theta", type=_integer,
                          help="eigenvalue override (needed for CSV files)")
     return parser
 

@@ -3,14 +3,11 @@
 Everything here is exhaustive enumeration at desk scale: catalogues of
 isolated clique pairs and induced complete bipartite pairs, witness
 decompositions for every catalogued pair, and cross-checks of the closed
-counting formulas against the enumerated counts.  Both pair scans run one
-loop, `bitsets.cliques_within` given a keep mask: each first part grows from
-its least vertex and carries, above that vertex, the pool where its
-partners may lie, and a branch is dropped once the pool holds fewer than s
-vertices.  An isolated clique keeps the vertices off it and its
-neighbourhood (keep is the complement) and its partners are cliques; an
-independent first part of a K_{s,s} keeps its common neighbours (keep is
-the adjacency) and its partners are independent sets.
+counting formulas against the enumerated counts.  One scan finds the pairs:
+each first clique grows from its least vertex in `bitsets.cliques_within`,
+carrying the pool above that vertex, off the clique and its neighbourhood,
+where its partners lie.  An induced K_{s,s} is an isolated pair of s-cliques
+in the complement, so the bipartite catalogue runs the same scan there.
 Outside-regularity compares bit-sliced neighbour counts of the two parts.
 Where a printed formula and the enumeration disagree, the enumeration is
 authoritative and the disagreement is reported as data.
@@ -91,17 +88,21 @@ class CountComparison(Record):
 
 # -- the pair scans --------------------------------------------------------------
 
-def enumerate_isolated_clique_pairs(g: PolarGraph, s: int) -> PairCatalog:
-    """Every unordered pair of s-cliques with no vertices or edges in common."""
+def _isolated_pairs(adj: list[int], s: int):
+    """(a, partners) for every s-clique a of adj: partners generates the
+    s-cliques above a's least vertex with no vertex on a or next to it."""
     if s < 1:
         raise OracleError("s must be >= 1")
-    adj = g.adj
+    for a, allowed in cliques_within(adj, (1 << len(adj)) - 1, s, complement(adj)):
+        yield a, cliques_within(adj, allowed, s)
+
+
+def enumerate_isolated_clique_pairs(g: PolarGraph, s: int) -> PairCatalog:
+    """Every unordered pair of s-cliques with no vertices or edges in common."""
     pairs = []
-    # partners lie off the clique and its neighbourhood, above its least vertex
-    for ci, allowed in cliques_within(adj, (1 << g.n) - 1, s, complement(adj)):
-        t0 = bit_indices(ci)
-        pairs.extend((t0, bit_indices(cj))
-                     for cj in cliques_within(adj, allowed, s))
+    for a, partners in _isolated_pairs(g.adj, s):
+        t0 = bit_indices(a)
+        pairs.extend((t0, bit_indices(b)) for b in partners)
     return PairCatalog("isolated_cliques", s, tuple(pairs), None)
 
 
@@ -112,17 +113,13 @@ def enumerate_bipartite_pairs(g: PolarGraph, s: int) -> PairCatalog:
     outside-regular when every vertex off T0 ∪ T1 has the same number of
     neighbours in T0 as in T1.
     """
-    if s < 1:
-        raise OracleError("s must be >= 1")
     adj = g.adj
     full = (1 << g.n) - 1
-    comp_adj = complement(adj)
     pairs, regular = [], []
-    # the whole partner lies in the first part's common neighbours above its lead
-    for a, common in cliques_within(comp_adj, full, s, adj):
+    for a, partners in _isolated_pairs(complement(adj), s):
         t0 = bit_indices(a)
         planes_a = counter_planes(adj, a)
-        for b in cliques_within(comp_adj, common, s):
+        for b in partners:
             pairs.append((t0, bit_indices(b)))
             regular.append(
                 not counts_differ(planes_a, counter_planes(adj, b), full ^ a ^ b))
@@ -305,11 +302,12 @@ def derived_elliptic_count(space: PolarSpace, m: int) -> int:
 
 
 def count_comparison(g: PolarGraph) -> CountComparison:
-    """Enumerated pair count against the printed and proof-derived formulas."""
-    params = g.srg_params()
-    spec = graphs.spectrum(params)
-    s = spec.theta1 + 1
-    catalog = enumerate_isolated_clique_pairs(g, s)
+    """Enumerated pair count against the printed and proof-derived formulas.
+
+    The formulas are resolved first, so a graph without them is refused
+    before any pair is scanned; the pairs are counted, not catalogued.
+    """
+    s = graphs.spectrum(g.srg_params()).theta1 + 1
     fam = g.provenance["family"]
     space: PolarSpace = g.space
     if g.provenance.get("kind") in ("collinearity", "unitary"):
@@ -321,4 +319,5 @@ def count_comparison(g: PolarGraph) -> CountComparison:
         derived = (derived_hyperbolic_count if hyperbolic else derived_elliptic_count)(space, size)
     else:
         raise OracleError(f"no counting formulas for family {fam!r}")
-    return CountComparison(fam, g.provenance["q"], size, s, len(catalog.pairs), printed, derived)
+    pairs = sum(1 for _, partners in _isolated_pairs(g.adj, s) for _ in partners)
+    return CountComparison(fam, g.provenance["q"], size, s, pairs, printed, derived)

@@ -148,6 +148,12 @@ def eigenfunction_from_json(text: str) -> Eigenfunction:
     return Eigenfunction(values, _integer(payload["theta"], "theta"), graph)
 
 
+def plain_digits(text: str) -> bool:
+    """Whether text holds no underscore and no non-ASCII digit, both of which
+    int() and Fraction() accept: "1_0" reads as 10, "\u0663" as 3."""
+    return not any(c == "_" or c.isdecimal() and not c.isascii() for c in text)
+
+
 def eigenfunction_from_csv(text: str) -> Eigenfunction:
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
@@ -159,8 +165,7 @@ def eigenfunction_from_csv(text: str) -> Eigenfunction:
             continue
         if len(row) != 2:
             raise SerializeError(f"CSV row {row!r} does not have two fields")
-        if any(c == "_" or c.isdecimal() and not c.isascii() for c in "".join(row)):
-            # which int() and Fraction() accept: "1_0" reads as 10, "\u0663" as 3
+        if not plain_digits("".join(row)):
             raise SerializeError(f"CSV row {row!r} holds an underscore or a non-ASCII digit")
         _put(values, int(row[0]), Fraction(row[1]))
     return Eigenfunction(values, 0, {})

@@ -456,6 +456,15 @@ def _file_with(name, text):
       "--function", _file_with("digit.csv", "vertex,value\n\u0663,1\n")), 2),
     (("verify", "--graph", "sp:2:2", "--theta", "1",
       "--function", _file_with("digit_value.csv", "vertex,value\n0,\u0663\n")), 2),
+    # the CLI's integers follow the CSV reader's rule
+    (("build", "--family", "sp", "--n", "2", "--q", "1_1"), 2),
+    (("build", "--family", "sp", "--n", "\u0662", "--q", "\u0663"), 2),
+    (("build", "--family", "vo+", "--m", "0_2", "--q", "2"), 2),
+    (("build", "--family", "sp", "--n", "2", "--q", "2", "--cap", "9_999"), 2),
+    (("enumerate", "--family", "sp", "--n", "2", "--q", "2", "--size", "0_2"), 2),
+    (("verify", "--graph", "sp:2:2", "--theta", "0_1", "--function", _sp22_function), 2),
+    (("verify", "--graph", "sp:\u0662:2", "--function", _sp22_function), 2),
+    (("verify", "--graph", "sp:2:0_2", "--function", _sp22_function), 2),
 ])
 def test_cli_input_errors_exit_with_documented_codes(args, code, tmp_path):
     (tmp_path / "file").write_text("not a directory")

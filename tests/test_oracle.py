@@ -1,4 +1,8 @@
+import runpy
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +14,18 @@ from polareig.bitsets import bit_indices, cliques_within, complement, counts_dif
 from polareig.cli import build_graph
 from polareig.graphs import graph_from_edges
 from polareig.oracle import (
-    WitnessNotFound, check_characterisation, count_comparison,
+    OracleError, WitnessNotFound, check_characterisation, count_comparison,
     enumerate_bipartite_pairs, enumerate_isolated_clique_pairs,
 )
+
+GRID = runpy.run_path(str(Path(__file__).resolve().parent.parent
+                          / "scripts" / "build_grid.py"))["GRID"]
+
+
+@lru_cache(maxsize=None)
+def built(label):
+    family, size, q = label.split(":")
+    return build_graph(family, int(q), int(size))
 
 
 def test_path_graph_has_no_isolated_edge_pairs():
@@ -144,6 +157,53 @@ def test_count_comparisons(fixture, printed, derived, oracle_count, request):
     assert (c.printed, c.derived, c.oracle) == (printed, derived, oracle_count)
     assert c.printed_matches == (printed == oracle_count)
     assert c.derived_matches == (derived == oracle_count)
+
+
+# rank-1 elliptic spaces (o-:1:q) have no graph
+@pytest.mark.parametrize("label", [
+    f"{f}:{size}:{q}" for f, size, q in GRID if (f, size) != ("o-", 1)
+] + ["sp:4:2", "vo+:2:4"])
+def test_count_comparison_counts_the_isolated_catalogue(label):
+    g = built(label)
+    s = graphs.spectrum(g.srg_params()).theta1 + 1
+    assert count_comparison(g).oracle == len(enumerate_isolated_clique_pairs(g, s))
+
+
+def test_count_comparison_keeps_no_object_per_pair():
+    g = built("sp:3:3")
+    assert count_comparison(g).oracle == 21840  # also warms the graph's caches
+    tracemalloc.start()
+    try:
+        count_comparison(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a catalogue of the 21,840 pairs peaks at 7.4 MiB here
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("graph", [
+    lambda: built("vo+:1:3"),  # the hyperbolic count needs m >= 2
+    lambda: graph_from_edges(9, [(a, b) for a in range(9) for b in range(a + 1, 9)
+                                 if a // 3 == b // 3 or a % 3 == b % 3]),
+], ids=["vo+:1:3", "rook-3x3-from-edges"])
+def test_count_comparison_refuses_a_graph_without_formulas_before_scanning(
+        graph, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pairs scanned for a graph without formulas")
+
+    g = graph()
+    g.srg_params()  # the 3 x 3 rook graph is strongly regular, as vo+:1:3 is
+    monkeypatch.setattr(oracle, "cliques_within", refuse)
+    with pytest.raises(OracleError):
+        count_comparison(g)
+
+
+@pytest.mark.parametrize("scan", [enumerate_isolated_clique_pairs,
+                                  enumerate_bipartite_pairs])
+def test_pair_scans_refuse_parts_of_size_zero(scan, sp42):
+    with pytest.raises(OracleError, match="s must be >= 1"):
+        scan(sp42, 0)
 
 
 def test_catalog_counts_are_shift_invariant(vo_plus_2, vo_minus_2):

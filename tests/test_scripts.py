@@ -4,8 +4,9 @@ import runpy
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-# the ladder of scripts/bench.py as this checkout recorded it
-BENCH = SCRIPTS.parent / "BENCH_25.json"
+# the newest ladder of scripts/bench.py this checkout recorded: the
+# BENCH_<n>.json with the largest n
+BENCH = max(SCRIPTS.parent.glob("BENCH_*.json"), key=lambda p: int(p.stem[6:]))
 
 # sha256 of the survey's stdout: every pair count, printed and derived value
 COUNT_SURVEY_SHA = "b25919702ea704d4a9331242bbc7c6afbd5f374bdc836e52d40c1a6ca42ae051"
