@@ -5,8 +5,7 @@ neighbour bitsets, one per vertex, and the supports of the eigenfunctions,
 the cliques and the pair scans are bitsets over its vertices.  Every
 primitive that reads or writes that format lives here: listing and
 building bitsets, their 0/1 flag strings, complement and connectivity of a
-graph, bit-sliced sums and neighbour counts, containment counts, and
-clique growth.
+graph, bit-sliced sums and neighbour counts, and clique growth.
 
 A flag string (``bit_flags``) holds one byte per bit, 0 or 1, low bit
 first, so ``itertools.compress(items, bit_flags(bits))`` selects the items
@@ -121,26 +120,6 @@ def counts_differ(planes_a, planes_b, mask: int) -> int:
     for x, y in zip_longest(planes_a, planes_b, fillvalue=0):
         diff |= x ^ y
     return diff & mask
-
-
-def containing_counts(subs: list[int], maximals: list[int]) -> list[int]:
-    """For each point bitset of subs, the number of maximals' point bitsets
-    containing it.
-
-    through[p] is the bitset of the maximals through point p; a maximal
-    contains a subspace exactly when it contains all of its points.
-    """
-    through: dict[int, int] = {}
-    for j, M in enumerate(maximals):
-        for p in bit_indices(M):
-            through[p] = through.get(p, 0) | 1 << j
-    counts = []
-    for L in subs:
-        common = -1
-        for p in bit_indices(L):
-            common &= through.get(p, 0)
-        counts.append(common.bit_count())
-    return counts
 
 
 def cliques_within(adj: list[int], pool: int, s: int, keep: list[int] | None = None):

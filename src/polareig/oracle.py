@@ -21,7 +21,7 @@ from . import forms, graphs, linalg
 from .bitsets import (bit_indices, cliques_within, complement, counter_planes,
                       counts_differ)
 from .graphs import PolarGraph
-from .polarspace import NotPairwiseCollinear, PolarSpace, q_power
+from .polarspace import NotPairwiseCollinear, PolarSpace, q_power, singular_subspace_count
 from .record import Record
 
 
@@ -257,8 +257,8 @@ def printed_polar_count(space: PolarSpace) -> int:
 def derived_polar_count(space: PolarSpace) -> int:
     """|pairs per L| * number of (n-2)-dimensional singular subspaces."""
     desc = space.descriptor()
-    t = desc.order[1]
-    return comb(t + 1, 2) * len(space.subspaces(desc.rank - 2))
+    q, t = desc.order
+    return comb(t + 1, 2) * singular_subspace_count(space.family, space.dim, q, desc.rank - 1)
 
 
 def printed_hyperbolic_count(space: PolarSpace, m: int) -> int:
@@ -274,10 +274,9 @@ def derived_hyperbolic_count(space: PolarSpace, m: int) -> int:
     """choose(t+1, 2) * q^(m+1) cosets * number of (m-2)-dimensional subspaces."""
     if m < 2:
         raise OracleError(f"m = {m}: the hyperbolic count needs an (m-2)-space")
-    desc = space.descriptor()
-    t = desc.order[1]
-    q = space.ctx.q
-    return comb(t + 1, 2) * q ** (m + 1) * len(space.subspaces(m - 2))
+    q, t = space.descriptor().order
+    return comb(t + 1, 2) * q ** (m + 1) * singular_subspace_count(space.family,
+                                                                  space.dim, q, m - 1)
 
 
 def printed_elliptic_count(space: PolarSpace, m: int) -> int:
@@ -298,7 +297,7 @@ def derived_elliptic_count(space: PolarSpace, m: int) -> int:
     picks up same-coset pairs and a q^(2m-2) multiplicity.
     """
     q = space.ctx.q
-    return len(space.maximals()) * q ** (m - 1) * comb(q * q, 2)
+    return space.descriptor().maximal_count * q ** (m - 1) * comb(q * q, 2)
 
 
 def count_comparison(g: PolarGraph) -> CountComparison:

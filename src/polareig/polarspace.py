@@ -14,10 +14,10 @@ L^perp (``maximals_containing``), so the constructions list no level.
 Field elements appear only in the public ``basis`` of a subspace.
 
 The rank n is the Witt index of the form (``witt_index``), so building a
-graph enumerates no subspace level.  Every enumerated level is checked to
-hold exactly N_k = ``singular_subspace_count`` members, and
-``descriptor()`` checks the rank against enumeration: level n-1 must be
-non-empty and level n empty.
+graph enumerates no subspace level.  Every level the search answers is
+checked to hold exactly N_k = ``singular_subspace_count`` members, and
+``descriptor()`` counts levels n-2, n-1 and n: level n-1 must be non-empty,
+level n empty, and t is read off L^perp for every (n-2)-space L.
 
 All output lists are sorted by the canonical subspace key, making every
 downstream computation reproducible.
@@ -156,7 +156,7 @@ def _value_split(form: Form) -> int:
 
 
 class PolarSpace:
-    """The polar space of a standard form; each enumerated level is kept in
+    """The polar space of a standard form; each listed level is kept in
     memory for the life of the instance."""
 
     def __init__(self, form: Form):
@@ -359,12 +359,17 @@ class PolarSpace:
         if d in self._levels:
             return self._levels[d]
         level = [self._subspace(basis) for basis in self._bases(d)]
-        expected = singular_subspace_count(self.family, self.dim, self.ctx.q, d + 1)
-        if len(level) != expected:
-            raise LevelCountMismatch(
-                f"level {d} holds {len(level)} subspaces, but N_{d + 1} = {expected}")
+        self._check_size(d, len(level))
         self._levels[d] = level
         return level
+
+    def _check_size(self, d: int, size: int) -> int:
+        """size, when level d holds N_{d+1} subspaces; LevelCountMismatch otherwise."""
+        expected = singular_subspace_count(self.family, self.dim, self.ctx.q, d + 1)
+        if size != expected:
+            raise LevelCountMismatch(
+                f"level {d} holds {size} subspaces, but N_{d + 1} = {expected}")
+        return size
 
     def least_subspace(self, d: int) -> SingularSubspace:
         """``subspaces(d)[0]``, the totally singular subspace of projective
@@ -399,43 +404,59 @@ class PolarSpace:
     # -- order, descriptor -------------------------------------------------------
 
     def descriptor(self) -> PolarSpaceDescriptor:
-        """Rank and order, checked against the enumerated levels once per space."""
+        """Rank and order, checked against the search once per space.
+
+        Levels n-2, n-1 and n are counted and none is listed.  The t+1
+        maximals through an (n-2)-space L meet in L and cover the points of
+        L^perp, so L^perp holds (t+1) q^(n-1) points off L, for every L."""
         if self._descriptor is not None:
             return self._descriptor
-        n = self.rank()
-        ctx = self.ctx
+        n, q = self.rank(), self.ctx.q
         e = _expected_e(self.family, self.dim)
-        if (n >= 1 and not self.subspaces(n - 1)) or self.subspaces(n):
-            raise OrderNotWellDefined(
-                f"the enumerated levels do not end at the Witt index {n}")
+        size = lambda d: self._check_size(d, sum(1 for _ in self._bases(d)))
+        maximal_count = size(n - 1) if n >= 1 else 0
+        if (n >= 1 and not maximal_count) or size(n):
+            raise OrderNotWellDefined(f"the enumerated levels do not end at the Witt index {n}")
         if n < 1:
             raise OrderNotWellDefined("space has no points")
         if n == 1:
             # no (n-2)-dimensional singular subspaces exist; order degenerates
             t = 0
         else:
-            # t+1 counted over the enumerated top level: a check of the
-            # enumeration, which maximals_containing does not read
-            counts = set(bitsets.containing_counts(
-                [L.point_bits for L in self.subspaces(n - 2)],
-                [M.point_bits for M in self.maximals()]))
+            closed = [row | 1 << p for p, row in enumerate(self.collinearity_bits())]
+            on_L, per_maximal = (q ** (n - 1) - 1) // (q - 1), q ** (n - 1)
+            counts, found = set(), 0
+            for found, basis in enumerate(self._bases(n - 2), 1):
+                perp, span = -1, 0
+                for row in basis:
+                    i = self._point_lookup[row]
+                    perp, span = perp & closed[i], span | 1 << i
+                off_L, rest = divmod(perp.bit_count() - on_L, per_maximal)
+                if rest:
+                    raise OrderNotWellDefined(f"{perp.bit_count() - on_L} points of L^perp lie "
+                                              f"off L, not a multiple of q^{n - 1} = {per_maximal}")
+                if perp & span != span:
+                    raise OrderNotWellDefined(
+                        f"the points {bitsets.bit_indices(span)} of L are not pairwise collinear")
+                counts.add(off_L)
+            self._check_size(n - 2, found)
             if len(counts) != 1:
                 raise OrderNotWellDefined(f"t+1 takes several values: {sorted(counts)}")
             t = counts.pop() - 1
             if t < 1:
                 raise OrderNotWellDefined(f"t = {t} is not positive")
-            expected = q_power(ctx.q, e)
+            expected = q_power(q, e)
             if t != expected:
                 raise OrderNotWellDefined(
                     f"computed t = {t} but the {self.family} family requires {expected}")
         self._descriptor = PolarSpaceDescriptor(
             family=self.family,
-            q=ctx.q,
+            q=q,
             rank=n,
-            order=(ctx.q, t),
+            order=(q, t),
             e=e,
             point_count=self.point_count(),
-            maximal_count=len(self.maximals()),
+            maximal_count=maximal_count,
         )
         return self._descriptor
 

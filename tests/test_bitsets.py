@@ -6,7 +6,7 @@ from polareig.bitsets import bit_indices, bits_of
 
 # name in bitsets -> the name it had in polarspace or graphs
 MOVED = {"bit_indices": "bit_indices", "counter_planes": "counter_planes",
-         "counts_differ": "counts_differ", "containing_counts": "containing_counts",
+         "counts_differ": "counts_differ",
          "cliques_within": "cliques_within", "complement": "complement",
          "connected": "_connected"}
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (difference_pairs, reference_bipartite_pairs,
                       reference_isolated_pairs)
-from polareig import cache, eigenfunctions as ef, graphs, linalg, oracle, serialize
+from polareig import (cache, eigenfunctions as ef, graphs, linalg, oracle, polarspace,
+                      serialize)
 from polareig.bitsets import bit_indices, cliques_within, complement, counts_differ
 from polareig.cli import build_graph
 from polareig.graphs import graph_from_edges
@@ -167,6 +168,20 @@ def test_count_comparison_counts_the_isolated_catalogue(label):
     g = built(label)
     s = graphs.spectrum(g.srg_params()).theta1 + 1
     assert count_comparison(g).oracle == len(enumerate_isolated_clique_pairs(g, s))
+
+
+@pytest.mark.parametrize("label", ["sp:3:2", "u:2:4", "vo+:2:3", "vo-:2:3"])
+def test_count_comparison_lists_no_level(label, monkeypatch):
+    g = built(label)
+    expected = count_comparison(g)
+
+    def no_listing(self, *args):
+        raise AssertionError("a level was listed")
+
+    monkeypatch.setattr(polarspace.PolarSpace, "subspaces", no_listing)
+    monkeypatch.setattr(polarspace.PolarSpace, "maximals", no_listing)
+    monkeypatch.setattr(g.space, "_descriptor", None)  # computed again, under the patch
+    assert count_comparison(g) == expected
 
 
 def test_count_comparison_keeps_no_object_per_pair():

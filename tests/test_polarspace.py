@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -145,43 +146,87 @@ def test_descriptor_is_computed_once_per_space(monkeypatch):
     space = polarspace.PolarSpace(forms.standard_form("sp", 4, field_new(3, 1)))
     first = space.descriptor()
 
-    def no_listing(self, d):
-        raise AssertionError(f"level {d} listed again")
+    def no_search(self, d, cand=-1):
+        raise AssertionError(f"level {d} searched again")
 
-    monkeypatch.setattr(polarspace.PolarSpace, "subspaces", no_listing)
+    monkeypatch.setattr(polarspace.PolarSpace, "_bases", no_search)
     assert space.descriptor() is first
 
 
-def test_descriptor_lists_only_the_levels_it_checks(monkeypatch):
+def test_descriptor_lists_no_level(monkeypatch):
     space = polarspace.PolarSpace(forms.standard_form("sp", 6, field_new(2, 1)))
-    listing, asked = polarspace.PolarSpace.subspaces, []
 
-    def recorded(self, d):
-        asked.append(d)
-        return listing(self, d)
+    def no_listing(self, *args):
+        raise AssertionError("a level was listed")
 
-    monkeypatch.setattr(polarspace.PolarSpace, "subspaces", recorded)
-    space.descriptor()
-    assert set(asked) == {1, 2, 3}
+    monkeypatch.setattr(polarspace.PolarSpace, "subspaces", no_listing)
+    monkeypatch.setattr(polarspace.PolarSpace, "maximals", no_listing)
+    desc = space.descriptor()
+    assert (desc.rank, desc.order, desc.maximal_count) == (3, (2, 2), 135)
+    assert space._levels == {}
 
 
 @pytest.mark.parametrize("family,dim,p,k", [
     ("sp", 6, 2, 1), ("sp", 6, 3, 1), ("o+", 6, 3, 1), ("u", 6, 2, 2),
 ], ids=["sp:3:2", "sp:3:3", "o+:3:3", "u:3:4"])
 def test_containing_counts_equal_the_pair_comparison(family, dim, p, k):
+    # the descriptor's t+1 is the number of listed maximals through every L
     space = make_space(family, dim, p, k)
     subs, maximals = space.subspaces(space.rank() - 2), space.maximals()
-    reference = [sum(M.point_bits & L.point_bits == L.point_bits for M in maximals)
-                 for L in subs]
-    assert bitsets.containing_counts([L.point_bits for L in subs],
-                                     [M.point_bits for M in maximals]) == reference
+    reference = {sum(M.point_bits & L.point_bits == L.point_bits for M in maximals)
+                 for L in subs}
+    assert reference == {space.descriptor().order[1] + 1}
+
+
+def test_descriptor_keeps_no_level_in_memory():
+    space = polarspace.PolarSpace(forms.standard_form("sp", 6, field_new(3, 1)))
+    space.collinearity_bits()
+    tracemalloc.start()
+    try:
+        assert space.descriptor().maximal_count == 1120
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # listing levels 1, 2 and 3 as subspaces peaks at 3.0 MiB here
+    assert peak < 2**19
+
+
+def test_descriptor_of_sp_4_3():
+    desc = polarspace.PolarSpace(forms.standard_form("sp", 8, field_new(3, 1))).descriptor()
+    assert (desc.rank, desc.order, desc.maximal_count) == (4, (3, 3), 91840)
+
+
+def _patch_answers(monkeypatch, level, change):
+    """Patch the search so that its answers at level pass through change."""
+    search = polarspace.PolarSpace._bases
+    monkeypatch.setattr(
+        polarspace.PolarSpace, "_bases", lambda self, d, cand=-1:
+        change(list(search(self, d, cand))) if d == level else search(self, d, cand))
 
 
 def test_descriptor_rejects_a_lost_maximal(monkeypatch):
     space = polarspace.PolarSpace(forms.standard_form("sp", 6, field_new(2, 1)))
-    monkeypatch.setattr(polarspace.PolarSpace, "maximals",
-                        lambda self: self.subspaces(self.rank() - 1)[:-1])
-    with pytest.raises(OrderNotWellDefined, match="t\\+1 takes several values: \\[2, 3\\]"):
+    _patch_answers(monkeypatch, 2, lambda answers: answers[:-1])
+    with pytest.raises(LevelCountMismatch,
+                       match="^level 2 holds 134 subspaces, but N_3 = 135$"):
+        space.descriptor()
+
+
+# two non-collinear points span a hyperbolic line H, and H^perp is a polar
+# space of rank n-1; its points number (t+1) q^(n-1) off the line exactly
+# when e = 1, so on sp only the collinearity check on L's points rejects it
+@pytest.mark.parametrize("family,dim,p,message", [
+    ("sp", 6, 2, "^the points \\(0, 1\\) of L are not pairwise collinear$"),
+    ("o+", 6, 2, "^6 points of L\\^perp lie off L, not a multiple of q\\^2 = 4$"),
+    ("o-", 8, 2, "^the points \\(0, 1\\) of L are not pairwise collinear$"),
+], ids=["sp:3:2", "o+:3:2", "o-:3:2"])
+def test_descriptor_rejects_a_line_that_is_not_singular(family, dim, p, message,
+                                                        monkeypatch):
+    space = polarspace.PolarSpace(forms.standard_form(family, dim, field_new(p, 1)))
+    collin, keys = space.collinearity_bits(), space._point_keys
+    b = next(j for j in range(1, len(keys)) if not collin[0] >> j & 1)
+    _patch_answers(monkeypatch, 1, lambda answers: [(keys[0], keys[b])] + answers[1:])
+    with pytest.raises(OrderNotWellDefined, match=message):
         space.descriptor()
 
 
@@ -227,14 +272,21 @@ def test_least_subspace_of_an_empty_search_is_rejected(monkeypatch):
         space.least_subspace(1)
 
 
-@pytest.mark.parametrize("level", [0, 1])
-def test_a_level_of_the_wrong_size_is_rejected(level, monkeypatch):
+# levels 0 and 1 of sp:2:3 are its 40 points and 40 lines, levels n-2 and
+# n-1; the descriptor counts them, through the check that subspaces lists
+@pytest.mark.parametrize("level,check", [
+    pytest.param(0, "subspaces", id="0"), pytest.param(1, "subspaces", id="1"),
+    pytest.param(0, "descriptor", id="descriptor-0"),
+    pytest.param(1, "descriptor", id="descriptor-1"),
+])
+def test_a_level_of_the_wrong_size_is_rejected(level, check, monkeypatch):
     space = polarspace.PolarSpace(forms.standard_form("sp", 4, field_new(3, 1)))
     count = polarspace.singular_subspace_count
     monkeypatch.setattr(polarspace, "singular_subspace_count",
                         lambda f, dim, q, k: count(f, dim, q, k) + (k == level + 1))
-    with pytest.raises(LevelCountMismatch):
-        space.subspaces(level)
+    with pytest.raises(LevelCountMismatch,
+                       match=f"^level {level} holds 40 subspaces, but N_{level + 1} = 41$"):
+        space.subspaces(level) if check == "subspaces" else space.descriptor()
 
 
 def test_an_enumeration_that_loses_a_subspace_is_rejected(monkeypatch):
