@@ -5,15 +5,17 @@
 
 Each rung runs a fixed number of times: five for the rungs that took under
 10 s when the ladder was chosen, once for the others.  For each rung the
-script records the median wall time, the largest max-RSS that `os.wait4`
-reports for its runs, the exit code and the sha256 of stdout, and it prints
-all rungs as one JSON object.  Progress goes to stderr.  --src names the
+script records the median wall time, the largest peak RSS of its runs, the
+exit code and the sha256 of stdout, and it prints all rungs as one JSON
+object.  Progress goes to stderr.  --src names the
 `src` directory whose package is run (default: this checkout's), so one
 copy of this script times two checkouts.
 
 A speed-up counts only between two files from one session whose digests
-are all equal.  max-RSS is a high-water mark that Linux carries over from
-the forking process, so it never reads below this script's own RSS.
+are all equal.  Each run reports its own peak RSS: the child reads `VmHWM`
+from /proc/self/status as it exits and writes it to a pipe.  (The
+`ru_maxrss` of `os.wait4` would not do: Linux seeds it with the forking
+process's high-water mark, so it never read below this script's own RSS.)
 """
 
 import argparse
@@ -51,35 +53,57 @@ LADDER = [
     ("build --format json sp:4:3", ("build", *_graph("sp:4:3"), "--format", "json"), 5),
     ("enumerate --kind bipartite u:2:9",
      ("enumerate", *_graph("u:2:9"), "--kind", "bipartite"), 5),
+    ("enumerate --kind bipartite o+:3:3",
+     ("enumerate", *_graph("o+:3:3"), "--kind", "bipartite"), 5),
 ]
+
+# runs the CLI, then writes its own VmHWM line to the pipe whose write end is
+# file descriptor {fd}, however main() exits
+CHILD = """\
+import os
+try:
+    from polareig.cli import main
+    main()
+finally:
+    with open("/proc/self/status", "rb") as status:
+        os.write({fd}, b"".join(line for line in status if line.startswith(b"VmHWM:")))
+"""
 
 
 def run_once(args, src=SRC):
-    """(wall seconds, max-RSS in MiB, exit code, stdout sha256) of one run of
+    """(wall seconds, peak RSS in MiB, exit code, stdout sha256) of one run of
     the CLI on args in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(src))
     digest = hashlib.sha256()
-    start = time.perf_counter()
-    proc = subprocess.Popen(
-        [sys.executable, "-c", "from polareig.cli import main; main()", *args],
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
-    for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
-        digest.update(chunk)
-    proc.stdout.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
-    return wall, usage.ru_maxrss / 1024, proc.returncode, digest.hexdigest()
+    rss_read, rss_write = os.pipe()
+    with open(rss_read, "rb") as rss:
+        start = time.perf_counter()
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", CHILD.format(fd=rss_write), *args],
+                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+                pass_fds=(rss_write,))
+        finally:
+            os.close(rss_write)  # the child holds the only write end
+        with proc:
+            for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+                digest.update(chunk)
+        code = proc.returncode
+        wall = time.perf_counter() - start
+        hwm = rss.read().split()  # [b"VmHWM:", kilobytes, b"kB"]
+    if not hwm:
+        raise SystemExit(f"{' '.join(args)}: the run reported no peak RSS (exit {code})")
+    return wall, int(hwm[1]) / 1024, code, digest.hexdigest()
 
 
 def run_rung(name, args, runs, src=SRC):
     walls, rss, outcomes = [], [], set()
     for _ in range(runs):
-        wall, maxrss, code, sha = run_once(args, src)
+        wall, peak, code, sha = run_once(args, src)
         walls.append(wall)
-        rss.append(maxrss)
+        rss.append(peak)
         outcomes.add((code, sha))
-        print(f"{name}: {wall:.3f} s, {maxrss:.1f} MiB, exit {code}", file=sys.stderr)
+        print(f"{name}: {wall:.3f} s, {peak:.1f} MiB, exit {code}", file=sys.stderr)
     if len(outcomes) != 1:
         raise SystemExit(f"{name}: the runs differ in exit code or stdout")
     (code, sha), = outcomes

@@ -128,7 +128,8 @@ def cliques_within(adj: list[int], pool: int, s: int, keep: list[int] | None = N
 
     adj[v] is the neighbour bitset of v; only its bits above v are read, and
     it may reach outside pool, since each clique's vertices are drawn from
-    pool alone.  Nothing is generated when s < 1.
+    pool alone.  Nothing is generated when s < 1.  Without keep, a pool of
+    exactly s vertices is checked as the one candidate, without a search.
 
     With a per-vertex mask list keep, a clique carries kept: the vertices
     above its least vertex that lie in keep[v] for every member v, the pool
@@ -136,17 +137,31 @@ def cliques_within(adj: list[int], pool: int, s: int, keep: list[int] | None = N
     is dropped once kept holds fewer than s vertices, and (clique, kept) is
     generated for every clique that keeps at least s.  keep must be
     symmetric (u in keep[v] exactly when v in keep[u]), as an adjacency or
-    its complement is: once kept holds exactly s vertices, the later
-    members are drawn from keep[u] for every u in kept.
+    its complement is.  So when kept holds s + spare vertices, a later
+    member w keeps kept & keep[w] at s or more only if it misses at most
+    spare of the keep[u], u in kept: the candidates are filtered by a miss
+    counter that saturates at spare + 1, wherever its (spare + 1) * |kept|
+    ANDs cost no more than the candidates the next depth would otherwise
+    pop.
     """
     tries = pool.bit_count() - s + 1
     if s < 1 or tries < 1:
+        return
+    if tries == 1 and keep is None:
+        # a clique exactly when each member's row holds the members above it
+        rest = pool
+        while rest:
+            lsb = rest & -rest
+            rest ^= lsb
+            if adj[lsb.bit_length() - 1] & rest != rest:
+                return
+        yield pool
         return
     # depth-first over the cliques' sorted vertex tuples.  At depth d the
     # first d members are chosen: rest holds the vertices above the last one
     # that extend them, kept their mask, and tries the pops left in rest
     # that still leave the s - d - 1 vertices the clique needs after them
-    bits, rest, kept, mask, spare = 0, pool, -1, -1, 1  # without keep: kept -1, spare 1
+    bits, rest, kept, mask = 0, pool, -1, -1  # without keep: kept and mask -1
     stack, last, depth = [], s - 1, 0
     while True:
         while tries:
@@ -164,11 +179,27 @@ def cliques_within(adj: list[int], pool: int, s: int, keep: list[int] | None = N
                 yield bits | lsb if keep is None else (bits | lsb, mask)
                 continue
             nxt = rest & adj[v]
-            if not spare:
-                # mask must stay whole: by symmetry, later members lie in every keep[u]
-                for u in bit_indices(mask):
-                    nxt &= keep[u]
             more = nxt.bit_count() + depth + 2 - s
+            # spare < more is implied by the cost rule and cheaper to test: where
+            # kept is large the rule never holds, and this keeps its cost off
+            if keep is not None and spare < more and (spare + 1) * (s + spare) <= more:
+                m = mask  # walked from its lowest bit, u = low.bit_length() - 1
+                if not spare:  # a later member lies in every keep[u]
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        nxt &= keep[low.bit_length() - 1]
+                else:  # miss[i]: the candidates outside at least i + 1 of them
+                    miss, levels = [0] * (spare + 1), range(spare, 0, -1)
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        out = nxt & ~keep[low.bit_length() - 1]
+                        for i in levels:
+                            miss[i] |= miss[i - 1] & out
+                        miss[0] |= out
+                    nxt &= ~miss[spare]
+                more = nxt.bit_count() + depth + 2 - s
             if more > 0:
                 stack.append((bits, rest, kept, tries))
                 bits, rest, kept, tries = bits | lsb, nxt, mask, more

@@ -8,7 +8,11 @@ each first clique grows from its least vertex in `bitsets.cliques_within`,
 carrying the pool above that vertex, off the clique and its neighbourhood,
 where its partners lie.  An induced K_{s,s} is an isolated pair of s-cliques
 in the complement, so the bipartite catalogue runs the same scan there.
-Outside-regularity compares bit-sliced neighbour counts of the two parts.
+Outside-regularity adds one packed int per vertex of each part, a w-bit
+field per vertex of the graph holding its neighbour bit and s on the vertex
+itself: on an induced K_{s,s} both sums read s on the pair and fields never
+carry, so they are equal exactly when every vertex off the pair sees as many
+vertices of one part as of the other.
 Where a printed formula and the enumeration disagree, the enumeration is
 authoritative and the disagreement is reported as data.
 """
@@ -18,8 +22,7 @@ from __future__ import annotations
 from math import comb
 
 from . import forms, graphs, linalg
-from .bitsets import (bit_indices, cliques_within, complement, counter_planes,
-                      counts_differ)
+from .bitsets import bit_indices, cliques_within, complement
 from .graphs import PolarGraph
 from .polarspace import NotPairwiseCollinear, PolarSpace, q_power, singular_subspace_count
 from .record import Record
@@ -90,11 +93,12 @@ class CountComparison(Record):
 
 def _isolated_pairs(adj: list[int], s: int):
     """(a, partners) for every s-clique a of adj: partners generates the
-    s-cliques above a's least vertex with no vertex on a or next to it."""
+    s-cliques above a's least vertex with no vertex on a or next to it.
+    s < 1 is refused at the call, before any clique is grown."""
     if s < 1:
         raise OracleError("s must be >= 1")
-    for a, allowed in cliques_within(adj, (1 << len(adj)) - 1, s, complement(adj)):
-        yield a, cliques_within(adj, allowed, s)
+    return ((a, cliques_within(adj, allowed, s))
+            for a, allowed in cliques_within(adj, (1 << len(adj)) - 1, s, complement(adj)))
 
 
 def enumerate_isolated_clique_pairs(g: PolarGraph, s: int) -> PairCatalog:
@@ -114,15 +118,26 @@ def enumerate_bipartite_pairs(g: PolarGraph, s: int) -> PairCatalog:
     neighbours in T0 as in T1.
     """
     adj = g.adj
-    full = (1 << g.n) - 1
+    scan = _isolated_pairs(complement(adj), s)  # refuses s < 1 before the table
+    # spread[x] packs one w-bit field per vertex u: 1 where u ~ x, s at u = x,
+    # so summed over an s-set T, field u reads |N(u) ∩ T|, plus s when u is
+    # in T.  That is at most 2s - 1 < 2^w, so no field carries into the next,
+    # and two sums are equal exactly when every field is.  For an induced
+    # K_{s,s} (T0, T1) both sums read s on T0 ∪ T1 (a part is independent and
+    # joined to all of the other), so they are equal exactly when every
+    # vertex off the pair has as many neighbours in T0 as in T1.
+    w = (2 * s).bit_length()
+    field = str.maketrans({"0": "0" * w, "1": "0" * (w - 1) + "1"})
+    spread = [int(format(row, "b").translate(field), 2) + (s << w * x)
+              for x, row in enumerate(adj)]
     pairs, regular = [], []
-    for a, partners in _isolated_pairs(complement(adj), s):
+    for a, partners in scan:
         t0 = bit_indices(a)
-        planes_a = counter_planes(adj, a)
+        sum_a = sum(map(spread.__getitem__, t0))
         for b in partners:
-            pairs.append((t0, bit_indices(b)))
-            regular.append(
-                not counts_differ(planes_a, counter_planes(adj, b), full ^ a ^ b))
+            t1 = bit_indices(b)
+            pairs.append((t0, t1))
+            regular.append(sum(map(spread.__getitem__, t1)) == sum_a)
     return PairCatalog("complete_bipartite", s, tuple(pairs), tuple(regular))
 
 

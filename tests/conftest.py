@@ -304,6 +304,21 @@ def _reference_independent_sets(comp_adj, pool_bits, s):
     return out
 
 
+def reference_kept_masks(adj, pool, s, keep):
+    """(clique, kept) for every s-clique of adj inside pool whose kept, the
+    vertices above its least member that lie in keep[v] for every member v,
+    holds at least s: what cliques_within(adj, pool, s, keep) yields."""
+    out = []
+    for c in _reference_independent_sets(adj, pool, s) if s > 0 else []:
+        low = (c & -c).bit_length()  # one past the least member
+        kept = (1 << len(adj)) - 1 >> low << low
+        for v in bit_indices(c):
+            kept &= keep[v]
+        if kept.bit_count() >= s:
+            out.append((c, kept))
+    return out
+
+
 def reference_cliques(g, s):
     """Bitsets of the s-cliques, grown without the size prune, as
     graphs.cliques_of_size grew them before it was a generator; kept as the

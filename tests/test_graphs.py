@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     _reference_independent_sets, charpoly_root_check, make_collinearity,
-    maximal_cliques, pentagon, reference_cliques,
+    maximal_cliques, pentagon, reference_cliques, reference_kept_masks,
 )
 from polareig import cli, forms, graphs, linalg
-from polareig.bitsets import bit_indices, cliques_within, connected, counter_planes
+from polareig.bitsets import (bit_indices, bits_of, cliques_within, complement,
+                              connected, counter_planes)
 from polareig.gf import field_new
 from polareig.graphs import (
     CliqueInfo, FewerThanTwoCliques, Imprimitive, IrrationalEigenvalues,
@@ -380,6 +381,63 @@ def test_cliques_within_lists_the_cliques_inside_the_pool(case):
     assert tuples == sorted(tuples)
     # as in reference_cliques, no clique is listed for s < 1
     assert got == (_reference_independent_sets(g.adj, pool, s) if s else [])
+
+
+@st.composite
+def graphs_with_pool_of_size_s(draw):
+    """A random graph on at most 12 vertices and a pool of s vertices, made
+    a clique in half the draws, and s."""
+    n = draw(st.integers(1, 12))
+    s = draw(st.integers(1, n))
+    members = sorted(draw(st.permutations(range(n)))[:s])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = {pair for pair in pairs if draw(st.booleans())}
+    if draw(st.booleans()):
+        edges.update((i, j) for k, i in enumerate(members) for j in members[k + 1:])
+    return graph_from_edges(n, sorted(edges)), bits_of(members), s
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=graphs_with_pool_of_size_s())
+def test_cliques_within_yields_a_pool_of_s_vertices_once_when_it_is_a_clique(case):
+    g, pool, s = case
+    members = bit_indices(pool)
+    clique = all(g.adj[i] >> j & 1 for k, i in enumerate(members) for j in members[k + 1:])
+    assert list(cliques_within(g.adj, pool, s)) == ([pool] if clique else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(graphs_with_pool(), graphs_with_pool_of_size_s()), data=st.data())
+def test_cliques_within_reads_no_adjacency_bit_at_or_below_a_vertex(case, data):
+    # bits 0..v of row v are redrawn at random; with keep as well, which is
+    # read whole and so stays the complement of the true adjacency
+    g, pool, s = case
+    noisy = [row >> v + 1 << v + 1 | data.draw(st.integers(0, (2 << v) - 1))
+             for v, row in enumerate(g.adj)]
+    assert list(cliques_within(noisy, pool, s)) == list(cliques_within(g.adj, pool, s))
+    keep = complement(g.adj)
+    assert (list(cliques_within(noisy, pool, s, keep))
+            == list(cliques_within(g.adj, pool, s, keep)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.integers(2, 3), spare=st.integers(1, 2), data=st.data())
+def test_kept_masks_of_s_plus_one_and_s_plus_two_match_the_brute_force_masks(s, spare, data):
+    """Vertex 0 is joined to every other vertex and keeps s + spare of them,
+    on (spare + 1) * (s + spare) + s - 1 vertices: so the first branch's
+    next depth would pop as many candidates, n - 1 - (s - 2), as the miss
+    counter takes ANDs, and the counter filters them."""
+    n = (spare + 1) * (s + spare) + s - 1
+    others = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
+    adj = graph_from_edges(n, [(0, j) for j in range(1, n)]
+                           + [p for p in others if data.draw(st.booleans())]).adj
+    kept0 = data.draw(st.permutations(range(1, n)))[:s + spare]
+    keep = graph_from_edges(n, [(0, j) for j in kept0]
+                            + [p for p in others if data.draw(st.booleans())]).adj
+    full = (1 << n) - 1
+    assert (keep[0].bit_count() - s, adj[0].bit_count() - (s - 2)) == (
+        spare, (spare + 1) * (s + spare))
+    assert list(cliques_within(adj, full, s, keep)) == reference_kept_masks(adj, full, s, keep)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,4 @@
+import hashlib
 import runpy
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (difference_pairs, reference_bipartite_pairs,
-                      reference_isolated_pairs)
+                      reference_isolated_pairs, reference_kept_masks)
 from polareig import (cache, eigenfunctions as ef, graphs, linalg, oracle, polarspace,
                       serialize)
 from polareig.bitsets import bit_indices, cliques_within, complement, counts_differ
@@ -219,6 +220,9 @@ def test_count_comparison_refuses_a_graph_without_formulas_before_scanning(
 def test_pair_scans_refuse_parts_of_size_zero(scan, sp42):
     with pytest.raises(OracleError, match="s must be >= 1"):
         scan(sp42, 0)
+    # an isolated vertex has an empty neighbour row
+    with pytest.raises(OracleError, match="s must be >= 1"):
+        scan(graph_from_edges(3, [(0, 1)]), 0)
 
 
 def test_catalog_counts_are_shift_invariant(vo_plus_2, vo_minus_2):
@@ -268,6 +272,41 @@ def test_bipartite_catalog_matches_reference(family, size, q, s):
     catalog = enumerate_bipartite_pairs(g, s)
     assert catalog.pairs
     assert (catalog.pairs, catalog.outside_regular) == reference_bipartite_pairs(g, s)
+
+
+def test_bipartite_catalog_flags_a_regular_and_a_non_regular_pair():
+    # two induced 4-cycles.  Vertex 4 sees 0 and 2, so (0, 2) is also joined
+    # to (1, 4) and (3, 4), and vertex 5 sees 1 alone: off ((0, 2), (1, 3))
+    # vertex 4 counts 2 against 0 and vertex 5 counts 0 against 1, which
+    # fields one bit wide would carry into equal sums.  Vertex 10 sees 6 and
+    # 7, one vertex of each part of ((6, 8), (7, 9))
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (2, 4), (1, 5),
+             (6, 7), (7, 8), (8, 9), (6, 9), (6, 10), (7, 10)]
+    g = graph_from_edges(11, edges)
+    catalog = enumerate_bipartite_pairs(g, 2)
+    assert catalog.pairs == (((0, 2), (1, 3)), ((0, 2), (1, 4)), ((0, 2), (3, 4)),
+                             ((6, 8), (7, 9)))
+    assert catalog.outside_regular == (False, False, False, True)
+    assert (catalog.pairs, catalog.outside_regular) == reference_bipartite_pairs(g, 2)
+
+
+# sha256 of repr((pairs, outside_regular)) as the scan gave them when each
+# flag compared bit-sliced neighbour counts: catalogues that
+# reference_bipartite_pairs is too slow to rebuild here
+@pytest.mark.parametrize("label,s,total,regular,sha", [
+    ("o+:3:3", 4, 10530, 10530,
+     "88925557676b5143ec86b35703a92428cbd2dfc247f21790ac6cf152bbc64101"),
+    ("o+:3:3", 3, 168480, 0,
+     "36d6ecc4dc877851eeca9f61ff2dbe161791a40cdc9e8dbf62bc5fe765706947"),
+    ("u:2:9", 4, 2835, 2835,
+     "1134651b2d25e3f093988094b4bb36b4c85dbff8421b9ef23c33c7027947c623"),
+])
+def test_large_bipartite_catalogs_match_their_recorded_digests(label, s, total, regular, sha):
+    catalog = enumerate_bipartite_pairs(built(label), s)
+    assert catalog.counts() == {"total": total, "outside_regular": regular,
+                                "not_outside_regular": total - regular}
+    text = repr((catalog.pairs, catalog.outside_regular))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
 
 
 @st.composite
@@ -321,15 +360,7 @@ def test_kept_masks_match_the_brute_force_masks_on_random_graphs(joined, data):
     flags = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     random_keep = graph_from_edges(g.n, [p for p, f in zip(pairs, flags) if f]).adj
     for keep in (scan_keep, random_keep):
-        expected = []
-        for c in cliques_within(adj, pool, s):
-            low = (c & -c).bit_length()  # one past the least member
-            kept = full >> low << low
-            for v in bit_indices(c):
-                kept &= keep[v]
-            if kept.bit_count() >= s:
-                expected.append((c, kept))
-        assert list(cliques_within(adj, pool, s, keep)) == expected
+        assert list(cliques_within(adj, pool, s, keep)) == reference_kept_masks(adj, pool, s, keep)
 
 
 @pytest.mark.parametrize("family,size,q,count", [
