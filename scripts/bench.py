@@ -57,6 +57,11 @@ LADDER = [
      ("enumerate", *_graph("o+:3:3"), "--kind", "bipartite"), 5),
 ]
 
+# the rungs tests/test_scripts.py reruns against the newest BENCH_<n>.json:
+# those that took about a second or less when they were chosen
+CHECKED = ("count-check vo+:2:4", "count-check u:2:16", "count-check sp:3:3",
+           "enumerate --kind bipartite u:2:9", "enumerate --kind bipartite o+:3:3")
+
 # runs the CLI, then writes its own VmHWM line to the pipe whose write end is
 # file descriptor {fd}, however main() exits
 CHILD = """\

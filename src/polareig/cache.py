@@ -7,8 +7,8 @@ files are JSON-lines: one header object, then one entry per line.  Writes
 are deterministic (sorted content, fixed separators) so repeated runs are
 byte-identical, and lines are rendered one at a time as they are written.
 ``enumerate`` with no ``--out`` writes its catalogue into the directory
-given by ``--cache-dir`` or the POLAR_EIG_CACHE environment variable; with
-neither, it writes no file and renders no line.  Nothing is ever read back.
+given by ``--cache-dir``; without it, it writes no file and renders no
+line.  Nothing is ever read back.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ from itertools import chain, count
 from pathlib import Path
 
 
-ENV_VAR = "POLAR_EIG_CACHE"
-
-
 # json.dumps(obj, sort_keys=True, separators=(",", ":")) with one shared
 # encoder; json.dumps would build a new encoder for every catalogue line
 dumps_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -32,10 +29,8 @@ dumps_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 def catalog_path(directory: str | os.PathLike | None, provenance: dict,
                  kind: str, s: int) -> Path | None:
-    """The catalogue file for a graph and pair kind, in directory (or else
-    $POLAR_EIG_CACHE), which is created if missing; None with neither."""
-    if directory is None:
-        directory = os.environ.get(ENV_VAR)
+    """The catalogue file for a graph and pair kind, in directory, which is
+    created if missing; None without one."""
     if not directory:
         return None
     path = Path(directory)

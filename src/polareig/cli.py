@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from pathlib import Path
 
@@ -71,25 +72,39 @@ def build_graph(family: str, q: int, size: int | None = None,
             raise ConfigError("affine families need --m")
         if size < 1:
             raise ConfigError(f"m = {size} must be >= 1")
-        if q ** (2 * size) > cap:
-            raise CapError(f"q^(2m) = {q ** (2 * size)} exceeds the vertex cap {cap}")
+        if value := _over_cap(lambda: q ** (2 * size), 2 * size, f"{q}^{2 * size}", cap):
+            raise CapError(f"q^(2m) = {value} exceeds the vertex cap {cap}")
         return graphs.affine_polar_graph(size, 1 if family == "vo+" else -1, ctx)
     n = 2 if size is None else size
     dim = {"sp": 2 * n, "o+": 2 * n, "o": 2 * n + 1, "o-": 2 * n + 2,
            "u": 2 * n}[family]
     try:
-        form = forms.standard_form(family, dim, ctx)
+        forms.check_standard(family, dim, ctx)
     except (forms.FormError, gf.OddExtensionDegree) as exc:
         raise ConfigError(str(exc)) from exc
-    points = polarspace.singular_subspace_count(family, dim, q, 1)
-    if points > cap:  # checked in closed form, before any point is listed
-        raise CapError(f"{points} points exceed the vertex cap {cap}")
+    # in closed form, before anything is built; a maximal holds >= 2^(w-1) points
+    w = polarspace.witt_index(family, dim)
+    if value := _over_cap(lambda: polarspace.singular_subspace_count(family, dim, q, 1),
+                          w - 1, f"at least {q}^{w - 1}", cap):
+        raise CapError(f"{value} points exceed the vertex cap {cap}")
     try:
         if family == "u" and dim == 4:
             return graphs.unitary_graph(ctx)
+        form = forms.standard_form(family, dim, ctx)
         return graphs.collinearity_graph(polarspace.polar_space(form))
     except graphs.RankTooLow as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _over_cap(count, low: int, bound: str, cap: int) -> str | None:
+    """count() in decimal if it exceeds cap, else None.  count() >= 2^low, so
+    past cap's bit length it is not counted, and past 2^16 bound stands for
+    it, as it does past the 4,300 digits that int -> str prints."""
+    if low < cap.bit_length() and count() <= cap:
+        return None
+    with suppress(ValueError):
+        return str(count()) if low <= 1 << 16 else bound
+    return bound
 
 
 def parse_graph_spec(spec: str) -> tuple[str, int, int]:
@@ -228,8 +243,7 @@ def verify(args):
         f = serialize.load_eigenfunction(function_path)
     except OSError as exc:
         raise SystemExit(_fail(6, f"cannot read {function_path}: {exc}"))
-    except (ValueError, KeyError, TypeError, IndexError, ZeroDivisionError,
-            serialize.SerializeError) as exc:
+    except serialize.SerializeError as exc:
         raise SystemExit(_fail(2, f"malformed eigenfunction file: {exc}"))
     stored = {key: f.graph_ref[key] for key in ("family", "q", "dim") if key in f.graph_ref}
     built = {key: g.provenance[key] for key in stored}
@@ -339,9 +353,8 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
                          help="vertex cap (default: %(default)s)")
         # --cache-dir names where enumerate writes its catalogue when --out is
         # absent; every other command accepts it and ignores it
-        sub.add_argument("--cache-dir", help=(
-            f"catalogue directory when --out is absent (or ${_cache.ENV_VAR})"
-            if cache_dir_used else "ignored: only enumerate writes there"))
+        sub.add_argument("--cache-dir", help="catalogue directory when --out is absent"
+                         if cache_dir_used else "ignored: only enumerate writes there")
         return sub
 
     if sub := command("build", build):

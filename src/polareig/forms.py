@@ -72,8 +72,24 @@ class Form(Record):
         return tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in mat)
 
 
-def _empty(dim):
-    return [[0] * dim for _ in range(dim)]
+_KIND = {"sp": "symplectic", "o+": "hyperbolic", "o": "parabolic", "o-": "elliptic"}
+
+
+def check_standard(family: str, dim: int, ctx: FieldContext) -> None:
+    """Raise what standard_form raises for a family, dim or field it does not serve."""
+    if family not in FAMILIES:
+        raise FormError(f"unknown family {family!r}")
+    if dim < 2:
+        raise DimMismatch("forms need dimension >= 2")
+    if family == "u":
+        ctx.sqrt_q  # raises OddExtensionDegree unless q is a square
+    elif dim % 2 != (family == "o"):  # only the parabolic dimension is odd
+        raise BadDimensionParity(
+            f"{_KIND[family]} forms need {'odd' if family == 'o' else 'even'} dimension")
+    elif family == "o" and ctx.p == 2:
+        raise ParabolicEvenCharacteristic(
+            "over even q the parabolic space duplicates the symplectic one; "
+            "use family 'sp' in dimension dim-1")
 
 
 def standard_form(family: str, dim: int, ctx: FieldContext) -> Form:
@@ -86,45 +102,29 @@ def standard_form(family: str, dim: int, ctx: FieldContext) -> Form:
         t^2 + a t b with (a, b) the least pair making it irreducible
     u : H(u,w) = sum u_i w_i^sqrt(q)                    (square q)
     """
-    if family not in FAMILIES:
-        raise FormError(f"unknown family {family!r}")
-    if dim < 2:
-        raise DimMismatch("forms need dimension >= 2")
-    m = _empty(dim)
+    check_standard(family, dim, ctx)
+    m = [[0] * dim for _ in range(dim)]
     one = 1
     if family == "sp":
-        if dim % 2:
-            raise BadDimensionParity("symplectic forms need even dimension")
         minus_one = ctx.neg_i(one)
         for i in range(0, dim, 2):
             m[i][i + 1] = one
             m[i + 1][i] = minus_one
         return Form("symplectic", family, dim, None, ctx, tuple(map(tuple, m)))
     if family == "u":
-        ctx.sqrt_q  # raises OddExtensionDegree unless q is a square
         for i in range(dim):
             m[i][i] = one
         return Form("hermitian", family, dim, None, ctx, tuple(map(tuple, m)))
     if family == "o+":
-        if dim % 2:
-            raise BadDimensionParity("hyperbolic forms need even dimension")
         for i in range(0, dim, 2):
             m[i][i + 1] = one
         return Form("quadratic", family, dim, 1, ctx, tuple(map(tuple, m)))
     if family == "o":
-        if dim % 2 == 0:
-            raise BadDimensionParity("parabolic forms need odd dimension")
-        if ctx.p == 2:
-            raise ParabolicEvenCharacteristic(
-                "over even q the parabolic space duplicates the symplectic one; "
-                "use family 'sp' in dimension dim-1")
         m[0][0] = one
         for i in range(1, dim, 2):
             m[i][i + 1] = one
         return Form("quadratic", family, dim, 0, ctx, tuple(map(tuple, m)))
     # family == "o-"
-    if dim % 2:
-        raise BadDimensionParity("elliptic forms need even dimension")
     for i in range(0, dim - 2, 2):
         m[i][i + 1] = one
     a_idx, b_idx = _least_irreducible_tail(ctx)

@@ -122,7 +122,7 @@ class FieldContext:
     __slots__ = (
         "p", "k", "q", "modulus",
         "_add", "_mul", "_neg", "_inv", "_frob",
-        "_elements", "_primitive_index",
+        "_elements",
     )
 
     def __init__(self, p: int, k: int):
@@ -130,7 +130,6 @@ class FieldContext:
         self.k = k
         self.q = p ** k
         self._frob = None
-        self._primitive_index = None
         self._build_tables()
         self._elements = tuple(FieldElement(self, i) for i in range(self.q))
 
@@ -409,13 +408,7 @@ def multiplicative_order(x: FieldElement) -> int:
 
 def primitive_element(ctx: FieldContext) -> FieldElement:
     """The least element (in canonical order) generating the multiplicative group."""
-    if ctx._primitive_index is None:
-        target = ctx.q - 1
-        for i in range(1, ctx.q):
-            if multiplicative_order(ctx.element(i)) == target:
-                ctx._primitive_index = i
-                break
-    return ctx.element(ctx._primitive_index)
+    return next(x for x in ctx.elements()[1:] if multiplicative_order(x) == ctx.q - 1)
 
 
 class NormOneSubgroup(Record):

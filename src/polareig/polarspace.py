@@ -156,8 +156,8 @@ def _value_split(form: Form) -> int:
 
 
 class PolarSpace:
-    """The polar space of a standard form; each listed level is kept in
-    memory for the life of the instance."""
+    """The polar space of a standard form.  It keeps its points, collinearity
+    and descriptor, and lists a level afresh on each call."""
 
     def __init__(self, form: Form):
         self.form = form
@@ -168,7 +168,6 @@ class PolarSpace:
         self._point_keys: list[tuple[int, ...]] = []
         self._point_lookup: dict[tuple[int, ...], int] = {}
         self._collinearity: list[int] | None = None
-        self._levels: dict[int, list[SingularSubspace]] = {}
         self._descriptor: PolarSpaceDescriptor | None = None
 
     # -- points ---------------------------------------------------------------
@@ -356,11 +355,8 @@ class PolarSpace:
         """All totally singular subspaces of projective dimension d, sorted."""
         if d < 0 or d >= self.dim:
             raise DimensionOutOfRange(f"projective dimension {d} out of range")
-        if d in self._levels:
-            return self._levels[d]
         level = [self._subspace(basis) for basis in self._bases(d)]
         self._check_size(d, len(level))
-        self._levels[d] = level
         return level
 
     def _check_size(self, d: int, size: int) -> int:
@@ -503,7 +499,7 @@ class PolarSpace:
 
 @lru_cache(maxsize=None)
 def polar_space(form: Form) -> PolarSpace:
-    """Shared PolarSpace instance for a form (enumerations are reused)."""
+    """Shared PolarSpace instance for a form (its points are reused)."""
     return PolarSpace(form)
 
 

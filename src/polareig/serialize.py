@@ -177,11 +177,13 @@ def is_csv(path) -> bool:
 
 
 def load_eigenfunction(path) -> Eigenfunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if is_csv(path):
-        return eigenfunction_from_csv(text)
-    return eigenfunction_from_json(text)
+    """The eigenfunction at path: OSError if unreadable, SerializeError if it does not parse."""
+    parse = eigenfunction_from_csv if is_csv(path) else eigenfunction_from_json
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (ValueError, ArithmeticError, RecursionError, csv.Error) as exc:
+        raise SerializeError(str(exc)) from exc
 
 
 def catalog_json_lines(catalog: PairCatalog,

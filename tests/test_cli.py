@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import run
 import polareig
-from polareig import cache, cli, polarspace, serialize
+from polareig import cli, forms, polarspace, serialize
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -85,6 +86,52 @@ def test_cap_is_checked_before_any_point_is_listed(monkeypatch):
     result = run("build", "--family", "sp", "--n", "2", "--q", "1009")
     assert result.exit_code == 3, result.output
     assert "field order 1009 exceeds the desk-scale cap 256" in result.output
+
+
+@pytest.mark.parametrize("args,message", [
+    (("build", "--family", "vo+", "--m", "7200", "--q", "2"),
+     "q^(2m) = 2^14400 exceeds the vertex cap 8192"),
+    (("verify", "--graph", "vo+:10000:2", "--function", "f.json"),
+     "q^(2m) = 2^20000 exceeds the vertex cap 8192"),
+])
+def test_a_count_too_long_to_print_exits_3_with_one_line(args, message):
+    # int -> str refuses more than 4,300 digits, and q^(2m) with m = 7200
+    # has 4,335
+    result = run(*args)
+    assert result.exit_code == 3, result.output
+    assert result.stderr == f"error: {message}\n" and result.stdout == ""
+
+
+def test_a_huge_rank_is_refused_without_counting_its_points(monkeypatch):
+    def no_count(*args):
+        raise AssertionError("the points were counted")
+
+    monkeypatch.setattr(polarspace, "singular_subspace_count", no_count)
+    result = run("build", "--family", "sp", "--n", "10000000000", "--q", "3")
+    assert result.exit_code == 3, result.output
+    assert result.stderr == "error: at least 3^9999999999 points exceed the vertex cap 8192\n"
+
+
+def test_a_polar_request_over_the_cap_builds_no_form(monkeypatch):
+    def no_form(*args):
+        raise AssertionError("the form was built before the cap check")
+
+    monkeypatch.setattr(forms, "standard_form", no_form)
+    tracemalloc.start()
+    try:
+        result = run("build", "--family", "o-", "--n", "1500", "--q", "3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 3, result.output
+    assert peak < 2**20  # a 3002 x 3002 form matrix would take over 70 MiB
+    assert result.stderr.startswith("error: 3466214367") and len(result.stderr) > 1400
+    assert result.stderr.endswith(" points exceed the vertex cap 8192\n")
+    # configuration errors still win over the cap
+    assert run("build", "--family", "u", "--n", "1500", "--q", "3").stderr \
+        == "error: GF(3) is not a square-order field\n"
+    assert run("build", "--family", "o", "--n", "1500", "--q", "4").stderr.startswith(
+        "error: over even q the parabolic space duplicates the symplectic one")
 
 
 def test_eigenfunction_writes_and_verifies(tmp_path):
@@ -315,17 +362,14 @@ def test_graph_json_export_validates(tmp_path):
     assert payload["v"] == 16 and len(payload["edges"]) == 40
 
 
-def test_cache_env_var_is_honoured(tmp_path, monkeypatch):
-    monkeypatch.setenv("POLAR_EIG_CACHE", str(tmp_path))
+def test_the_cache_env_var_is_ignored(tmp_path, monkeypatch):
+    # only --cache-dir names a catalogue directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("POLAR_EIG_CACHE", str(tmp_path / "cache"))
     result = run("enumerate", "--family", "sp", "--n", "2", "--q", "3")
-    assert result.exit_code == 0
-    names = [p.name for p in tmp_path.iterdir()]
-    assert names == ["catalog_sp_d4_p3k1_isolated_cliques_s3.jsonl"]
-    # only enumerate writes to the directory
-    result = run("eigenfunction", "--family", "sp", "--n", "2", "--q", "3",
-                 "--construct", "theta1-polar")
-    assert result.exit_code == 0
-    assert [p.name for p in tmp_path.iterdir()] == names
+    assert result.exit_code == 0, result.output
+    assert '"out":null' in result.stdout
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_output_is_deterministic():
@@ -465,6 +509,12 @@ def _file_with(name, text):
     (("verify", "--graph", "sp:2:2", "--theta", "0_1", "--function", _sp22_function), 2),
     (("verify", "--graph", "sp:\u0662:2", "--function", _sp22_function), 2),
     (("verify", "--graph", "sp:2:0_2", "--function", _sp22_function), 2),
+    # json raises RecursionError on deep nesting, csv its own Error on a
+    # field over 131,072 characters
+    (("verify", "--graph", "sp:2:2",
+      "--function", _file_with("deep.json", "[" * 1000 + "]" * 1000)), 2),
+    (("verify", "--graph", "sp:2:2", "--theta", "1",
+      "--function", _file_with("long.csv", "vertex,value\n0," + "1" * 140_000 + "\n")), 2),
 ])
 def test_cli_input_errors_exit_with_documented_codes(args, code, tmp_path):
     (tmp_path / "file").write_text("not a directory")
@@ -579,7 +629,6 @@ def test_help_exits_0(command):
 def test_every_command_accepts_cache_dir_and_only_enumerate_writes_there(
         args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cache.ENV_VAR, raising=False)
     assert run("eigenfunction", *SP22, "--construct", "theta1-polar",
                "--out", "f.json").exit_code == 0
     without = run(*args)

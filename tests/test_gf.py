@@ -107,6 +107,15 @@ def test_gf9_multiplicative_group_is_cyclic_of_order_8():
     assert multiplicative_order(beta) == 8
 
 
+@pytest.mark.parametrize("p,k", SMALL_FIELDS + LARGE_FIELDS)
+def test_primitive_element_is_the_least_generator_on_every_call(p, k):
+    ctx = field_new(p, k)
+    beta = primitive_element(ctx)
+    assert multiplicative_order(beta) == ctx.q - 1
+    assert all(multiplicative_order(x) < ctx.q - 1 for x in ctx.elements()[1:beta.index])
+    assert primitive_element(ctx) == beta == primitive_element(field_new(p, k))
+
+
 def test_arith_examples():
     f4 = field_new(2, 2)
     w = f4.element(2)

@@ -163,7 +163,15 @@ def test_descriptor_lists_no_level(monkeypatch):
     monkeypatch.setattr(polarspace.PolarSpace, "maximals", no_listing)
     desc = space.descriptor()
     assert (desc.rank, desc.order, desc.maximal_count) == (3, (2, 2), 135)
-    assert space._levels == {}
+
+
+def test_each_subspaces_call_returns_a_list_the_caller_owns():
+    space = polarspace.PolarSpace(forms.standard_form("sp", 4, field_new(2, 1)))
+    first = space.subspaces(0)
+    first.pop()
+    second = space.subspaces(0)
+    assert len(first) == 14 and len(second) == 15
+    assert space.subspaces(0) == second and space.subspaces(0) is not second
 
 
 @pytest.mark.parametrize("family,dim,p,k", [

@@ -28,14 +28,15 @@ def test_build_grid_stdout_matches_its_recorded_digest(capsys):
 
 
 def test_the_sub_second_bench_rungs_match_their_recorded_digests():
+    # the rungs are named in scripts/bench.py, so the set checked does not
+    # depend on how fast the host was when the ladder was recorded
     bench = runpy.run_path(str(SCRIPTS / "bench.py"))
     ladder = {name: args for name, args, _ in bench["LADDER"]}
-    recorded = json.loads(BENCH.read_text())["rungs"]
-    assert [rung["name"] for rung in recorded] == list(ladder)
-    quick = [rung for rung in recorded if rung["wall_s"] < 1]
-    assert quick
-    for rung in quick:
-        assert tuple(rung["argv"]) == ladder[rung["name"]]
-        _, _, code, sha = bench["run_once"](ladder[rung["name"]])
-        assert (code, rung["name"], sha) == (rung["exit_code"], rung["name"],
-                                             rung["stdout_sha256"])
+    recorded = {rung["name"]: rung for rung in json.loads(BENCH.read_text())["rungs"]}
+    assert list(recorded) == list(ladder)
+    assert bench["CHECKED"]
+    for name in bench["CHECKED"]:
+        rung = recorded[name]
+        assert tuple(rung["argv"]) == ladder[name]
+        _, _, code, sha = bench["run_once"](ladder[name])
+        assert (code, name, sha) == (rung["exit_code"], name, rung["stdout_sha256"])

@@ -3,6 +3,7 @@ catalogue path from the oracle to a JSON-lines file."""
 
 import os
 import random
+import re
 import runpy
 import stat
 import tracemalloc
@@ -144,7 +145,6 @@ def test_enumerate_with_no_target_renders_no_catalogue_line(monkeypatch):
     def refuse(*args):
         raise AssertionError("catalogue lines rendered with no file to write")
 
-    monkeypatch.delenv(cache.ENV_VAR, raising=False)
     monkeypatch.setattr(serialize, "catalog_json_lines", refuse)
     result = run("enumerate", "--family", "sp", "--n", "2", "--q", "3")
     assert result.exit_code == 0, result.output
@@ -233,3 +233,28 @@ def test_csv_eigenfunctions_still_read_every_decimal_form():
     f = serialize.eigenfunction_from_csv(
         "vertex,value\n 0 ,+1.5\n1,-3/6\n2,1e1\n+3,-0.25\n4,-7\n")
     assert f.values == {0: Fraction(3, 2), 1: Fraction(-1, 2), 2: 10, 3: Fraction(-1, 4), 4: -7}
+
+
+@pytest.mark.parametrize("name,data,message", [
+    ("deep.json", b"[" * 1000 + b"]" * 1000, "maximum recursion depth exceeded"),
+    ("long.csv", b"vertex,value\n0," + b"1" * 140_000 + b"\n",
+     "field larger than field limit (131072)"),
+    ("latin.json", b'{"graph":{},"theta":1,"entries":[]}\xff', "can't decode byte 0xff"),
+    ("cut.json", b'{"graph":', "Expecting value"),
+    ("long.json", b'{"graph":{},"theta":' + b"1" * 5000 + b',"entries":[]}',
+     "Exceeds the limit (4300 digits)"),
+    ("zero.json", b'{"graph":{},"theta":1,"entries":[[0,1,0]]}', "Fraction(1, 0)"),
+    ("zero.csv", b"vertex,value\n0,1/0\n", "Fraction(1, 0)"),
+    ("word.csv", b"vertex,value\nzero,1\n", "invalid literal for int()"),
+])
+def test_every_parse_failure_of_a_readable_file_is_a_serialize_error(
+        name, data, message, tmp_path):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(serialize.SerializeError, match=re.escape(message)):
+        serialize.load_eigenfunction(path)
+
+
+def test_a_file_that_cannot_be_read_is_an_os_error(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        serialize.load_eigenfunction(tmp_path / "none.json")
