@@ -4,7 +4,7 @@ Subcommands: build, eigenfunction, enumerate, count-check, verify.  A graph
 is a family, q and one size: the rank --n of sp/o+/o/o-/u or the --m of vo±
 (``family:size:q`` for verify); the other size flag exits 2 before any build.
 Exit codes: 0 success, 2 invalid configuration or usage (argparse prints its
-usage line and the error on stderr), 3 desk-scale cap exceeded,
+usage line and the error on stderr), 3 cap exceeded (q, vertices, a denominator),
 4 verification failure, 5 count-check formula mismatch (informational),
 6 file I/O error.  ``main(argv=None)`` is the ``polareig`` console script;
 argv defaults to ``sys.argv[1:]``.
@@ -88,8 +88,6 @@ def build_graph(family: str, q: int, size: int | None = None,
                           w - 1, f"at least {q}^{w - 1}", cap):
         raise CapError(f"{value} points exceed the vertex cap {cap}")
     try:
-        if family == "u" and dim == 4:
-            return graphs.unitary_graph(ctx)
         form = forms.standard_form(family, dim, ctx)
         return graphs.collinearity_graph(polarspace.polar_space(form))
     except graphs.RankTooLow as exc:
@@ -256,8 +254,10 @@ def verify(args):
         report = ef.verify_eigenfunction(g, f)
     except ef.NotAnEigenfunction as exc:
         _echo_json({"valid": False, "vertex": exc.vertex,
-                    "lhs": str(exc.lhs), "rhs": str(exc.rhs)})
+                    "lhs": ef.exact_text(exc.lhs), "rhs": ef.exact_text(exc.rhs)})
         raise SystemExit(4)
+    except ef.DenominatorTooLong as exc:
+        raise SystemExit(_fail(3, str(exc)))
     except ef.EigenfunctionError as exc:
         raise SystemExit(_fail(4, str(exc)))
     _echo_json({"valid": True, **report._asdict()})

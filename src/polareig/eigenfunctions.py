@@ -12,6 +12,7 @@ but verification of user-supplied functions must not round.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -21,6 +22,16 @@ from .gf import FieldElement, norm_minus_one_unit, norm_one_subgroup
 from .graphs import CliqueInfo, PolarGraph, SrgParams, delsarte_bound
 from .polarspace import SingularSubspace, WrongDimension
 from .record import Record
+
+
+# the digits int() reads from a string, and int -> str prints, by default
+DIGIT_CAP = 4300
+_TOO_LONG = 10 ** DIGIT_CAP  # the least int of more than DIGIT_CAP digits
+
+
+def exact_text(x: Fraction) -> str:
+    """str(x) at any length: Decimal prints the ints past DIGIT_CAP digits."""
+    return str(Decimal(x.numerator)) + (f"/{Decimal(x.denominator)}" if x.denominator > 1 else "")
 
 
 class EigenfunctionError(Exception):
@@ -37,8 +48,12 @@ class NotAnEigenfunction(EigenfunctionError):
         self.lhs = lhs
         self.rhs = rhs
         super().__init__(
-            f"condition fails at vertex {vertex}: theta*f = {lhs}, "
-            f"neighbour sum = {rhs}")
+            f"condition fails at vertex {vertex}: theta*f = {exact_text(lhs)}, "
+            f"neighbour sum = {exact_text(rhs)}")
+
+
+class DenominatorTooLong(EigenfunctionError):
+    pass
 
 
 class NotNonPrincipal(EigenfunctionError):
@@ -137,9 +152,10 @@ def wdb(theta: int, params: SrgParams) -> int:
 def verify_eigenfunction(g: PolarGraph, f: Eigenfunction) -> WdbReport:
     """Check the eigenfunction condition at every vertex, exactly.
 
-    Raises NotAnEigenfunction at the least violating vertex.  The returned
-    report carries the weight-distribution bound when theta is one of the
-    two non-principal eigenvalues (None for the principal eigenvalue).
+    Raises DenominatorTooLong first if the values' common denominator has
+    over DIGIT_CAP digits, then NotAnEigenfunction at the least violating
+    vertex.  The report carries the weight-distribution bound when theta is
+    a non-principal eigenvalue (None for the principal eigenvalue).
     """
     if not f.values:
         raise ZeroFunction("an eigenfunction needs a nonzero value")
@@ -149,7 +165,11 @@ def verify_eigenfunction(g: PolarGraph, f: Eigenfunction) -> WdbReport:
     # scaled by the common denominator, the values are ints w, and the
     # vertices of each value form one bitset; at gamma the condition is
     # theta * w_gamma = sum of w |N(gamma) ∩ class_w|, times theta's denominator
-    scale = lcm(*(x.denominator for x in f.values.values()))
+    scale = 1
+    for x in f.values.values():  # one value at a time, so a long lcm stops early
+        if (scale := lcm(scale, x.denominator)) >= _TOO_LONG:
+            raise DenominatorTooLong(
+                f"the values' common denominator has more than {DIGIT_CAP} digits")
     scaled = {v: x.numerator * (scale // x.denominator) for v, x in f.values.items()}
     by_value: dict[int, list[int]] = {}
     for v, w in scaled.items():
@@ -160,9 +180,8 @@ def verify_eigenfunction(g: PolarGraph, f: Eigenfunction) -> WdbReport:
     for gamma, row in enumerate(g.adj):
         total = sum(w * (row & cls).bit_count() for w, cls in classes)
         if den * total != num * scaled.get(gamma, 0):
-            rhs = sum((f.values[delta] for delta in sorted(f.values)
-                       if row >> delta & 1), Fraction(0))
-            raise NotAnEigenfunction(gamma, theta * f.values.get(gamma, Fraction(0)), rhs)
+            raise NotAnEigenfunction(gamma, theta * f.values.get(gamma, Fraction(0)),
+                                     Fraction(total, scale))
     try:
         bound = wdb(f.theta, g.srg_params())
     except NotNonPrincipal:
@@ -367,12 +386,8 @@ def theta2_unitary(g: PolarGraph) -> Eigenfunction:
     """
     _require_kind(g, ("unitary",), "theta2_unitary")
     ctx = g.ctx
-    subgroup = norm_one_subgroup(ctx)
-    if ctx.p == 2:
-        seconds = [gamma for gamma in subgroup]
-    else:
-        eps = norm_minus_one_unit(ctx)
-        seconds = [eps * gamma for gamma in subgroup]
+    eps = ctx.one if ctx.p == 2 else norm_minus_one_unit(ctx)
+    seconds = [eps * gamma for gamma in norm_one_subgroup(ctx)]
     one_e, zero_e = ctx.one, ctx.zero
     point = g.space.point_for_vector
     return _pair_function(g, [point((one_e, a, zero_e, zero_e)).index for a in seconds],

@@ -64,17 +64,6 @@ class EvenCharacteristic(FieldError):
     pass
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Factor q = p^k with p prime; raises NonPrimeCharacteristic otherwise."""
     if q < 2:
@@ -374,7 +363,11 @@ def field_new(p: int, k: int) -> FieldContext:
     Deterministic across runs: same (p, k) gives an identical modulus and
     element order.
     """
-    if not _is_prime(p):
+    try:
+        prime = factor_prime_power(p) == (p, 1)
+    except NonPrimeCharacteristic:  # p < 2, or p is no prime power
+        prime = False
+    if not prime:
         raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
     if k < 1:
         raise DegreeZero(f"extension degree must be >= 1, got {k}")

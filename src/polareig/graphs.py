@@ -12,7 +12,7 @@ with the bit-sliced sum ``bitsets.sum_planes``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, product
+from itertools import combinations, compress, product
 from math import isqrt
 
 from . import bitsets, forms, polarspace
@@ -135,7 +135,11 @@ def graph_from_edges(n: int, edges, provenance=None) -> PolarGraph:
 # -- builders -------------------------------------------------------------------
 
 def collinearity_graph(space: PolarSpace) -> PolarGraph:
-    """Vertices are the points; edges join pairs lying in a common line."""
+    """Vertices are the points; edges join pairs lying in a common line.
+
+    The provenance's kind is "unitary" for U(4, q), the hermitian graph
+    H(3, q) that theta2_unitary builds on, and "collinearity" otherwise.
+    """
     if space.rank() < 2:
         raise RankTooLow(
             f"rank {space.rank()} polar space has no collinear point pairs")
@@ -143,7 +147,7 @@ def collinearity_graph(space: PolarSpace) -> PolarGraph:
     adj = list(space.collinearity_bits())
     prov = {
         "family": space.family,
-        "kind": "collinearity",
+        "kind": "unitary" if (space.family, space.dim) == ("u", 4) else "collinearity",
         "q": space.ctx.q,
         "p": space.ctx.p,
         "k": space.ctx.k,
@@ -193,13 +197,9 @@ def affine_polar_graph(m: int, epsilon: int, ctx: FieldContext) -> PolarGraph:
 
 
 def unitary_graph(ctx: FieldContext) -> PolarGraph:
-    """The rank-2 hermitian graph on the isotropic points of GF(q)^4, q square."""
-    ctx.sqrt_q  # raises OddExtensionDegree when q is not a square
-    form = forms.standard_form("u", 4, ctx)
-    space = polarspace.polar_space(form)
-    g = collinearity_graph(space)
-    g.provenance = dict(g.provenance, kind="unitary")
-    return g
+    """The rank-2 hermitian graph H(3, q) on the isotropic points of GF(q)^4,
+    q square: the collinearity graph of U(4, q), of kind "unitary"."""
+    return collinearity_graph(polarspace.polar_space(forms.standard_form("u", 4, ctx)))
 
 
 # -- strongly regular machinery ---------------------------------------------------
@@ -348,31 +348,15 @@ def max_intersecting_delsarte_pair(g: PolarGraph) -> tuple[CliqueInfo, CliqueInf
     Ties break toward the canonically least pair of vertex tuples.
     """
     found = []  # (bits, clique) of the Delsarte cliques streamed so far
-
-    def pairs():
-        # The pairs of the full scan in its order: those with clique 0 as the
-        # cliques stream in, the rest only once the stream has run out.
-        for c in _sized_cliques(g):
-            if c.is_delsarte:
-                entry = (c.bits(), c)
-                if found:
-                    yield found[0], entry
-                found.append(entry)
-        for i in range(1, len(found)):
-            for j in range(i + 1, len(found)):
-                yield found[i], found[j]
-
-    # No pair meets in more than the nexus (a vertex of D outside C sees all
-    # of C ∩ D and exactly nexus vertices of C), so the first to reach it wins.
-    best = None
-    best_size = -1
-    for (bits_a, a), (bits_b, b) in pairs():
-        inter = (bits_a & bits_b).bit_count()
-        if inter > best_size:
-            best_size = inter
-            best = (a, b)
-            if inter == a.nexus:
-                break
-    if best is None:
+    for c in _sized_cliques(g):
+        if c.is_delsarte:
+            found.append((c.bits(), c))
+            # No pair meets in more than the nexus (a vertex of D outside C
+            # sees all of C ∩ D and exactly nexus vertices of C), so the
+            # first clique to meet clique 0 in it gives the first best pair.
+            if len(found) > 1 and (found[0][0] & found[-1][0]).bit_count() == c.nexus:
+                return found[0][1], c
+    if len(found) < 2:
         raise FewerThanTwoCliques(f"found {len(found)} Delsarte cliques")
-    return best
+    (_, a), (_, b) = max(combinations(found, 2), key=lambda p: (p[0][0] & p[1][0]).bit_count())
+    return a, b

@@ -119,6 +119,8 @@ def enumerate_bipartite_pairs(g: PolarGraph, s: int) -> PairCatalog:
     """
     adj = g.adj
     scan = _isolated_pairs(complement(adj), s)  # refuses s < 1 before the table
+    if 2 * s > len(adj):  # no two disjoint s-sets, and no table to build
+        return PairCatalog("complete_bipartite", s, (), ())
     # spread[x] packs one w-bit field per vertex u: 1 where u ~ x, s at u = x,
     # so summed over an s-set T, field u reads |N(u) ∩ T|, plus s when u is
     # in T.  That is at most 2s - 1 < 2^w, so no field carries into the next,

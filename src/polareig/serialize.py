@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from binascii import b2a_base64
 from collections.abc import Iterator
 from fractions import Fraction
@@ -25,7 +26,7 @@ from itertools import compress, count
 
 from .bitsets import bit_flags
 from .cache import dumps_canonical
-from .eigenfunctions import Eigenfunction
+from .eigenfunctions import DIGIT_CAP, Eigenfunction
 from .graphs import PolarGraph
 from .oracle import PairCatalog
 
@@ -167,6 +168,9 @@ def eigenfunction_from_csv(text: str) -> Eigenfunction:
             raise SerializeError(f"CSV row {row!r} does not have two fields")
         if not plain_digits("".join(row)):
             raise SerializeError(f"CSV row {row!r} holds an underscore or a non-ASCII digit")
+        # Fraction builds 10^e: refuse |e| > DIGIT_CAP, read off its first five digits
+        if (e := re.search(r"[eE][-+]?0*(\d{1,5})", row[1])) and int(e[1]) > DIGIT_CAP:
+            raise SerializeError(f"CSV row {row!r} has an exponent of magnitude over {DIGIT_CAP}")
         _put(values, int(row[0]), Fraction(row[1]))
     return Eigenfunction(values, 0, {})
 

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -515,6 +516,9 @@ def _file_with(name, text):
       "--function", _file_with("deep.json", "[" * 1000 + "]" * 1000)), 2),
     (("verify", "--graph", "sp:2:2", "--theta", "1",
       "--function", _file_with("long.csv", "vertex,value\n0," + "1" * 140_000 + "\n")), 2),
+    # Fraction would build 10^e of any exponent
+    (("verify", "--graph", "sp:2:2", "--theta", "1",
+      "--function", _file_with("exponent.csv", "vertex,value\n0,1e4301\n")), 2),
 ])
 def test_cli_input_errors_exit_with_documented_codes(args, code, tmp_path):
     (tmp_path / "file").write_text("not a directory")
@@ -525,6 +529,38 @@ def test_cli_input_errors_exit_with_documented_codes(args, code, tmp_path):
     assert result.exit_code in {0, 2, 3, 4, 5, 6}
     assert result.exit_code == code, result.output
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_verify_reports_numbers_too_long_for_str_exactly(tmp_path):
+    big = 10 ** 4000  # theta * f(0) = 10^8000, past int -> str's 4,300 digits
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"graph": {}, "theta": big, "entries": [[0, big, 1]]}))
+    result = run("verify", "--graph", "sp:2:2", "--function", str(path))
+    assert (result.exit_code, result.stderr) == (4, "")
+    assert result.stdout == '{"lhs":"1' + "0" * 8000 + '","rhs":"0","valid":false,"vertex":0}\n'
+
+
+def test_verify_refuses_a_common_denominator_past_4300_digits(tmp_path):
+    # the lcm of these 364 denominators took 5.6 s, then failed to print
+    path = tmp_path / "dens.json"
+    path.write_text(json.dumps({"graph": {}, "theta": 1, "entries": [
+        [v, 1, 10 ** 1000 + 2 * v + 1] for v in range(364)]}))
+    start = time.perf_counter()
+    result = run("verify", "--graph", "sp:3:3", "--function", str(path))
+    assert time.perf_counter() - start < 2
+    assert (result.exit_code, result.stdout) == (3, "")
+    assert result.stderr == "error: the values' common denominator has more than 4300 digits\n"
+
+
+def test_a_bipartite_part_size_no_graph_holds_prints_zero_counts():
+    size = "1" + "0" * 2000
+    start = time.perf_counter()
+    result = run("enumerate", "--family", "sp", "--n", "3", "--q", "3",
+                 "--kind", "bipartite", "--size", size)
+    assert time.perf_counter() - start < 2  # 2.6 s and 173 MiB when the table was built
+    assert result.exit_code == 0
+    assert result.stdout == ('{"counts":{"not_outside_regular":0,"outside_regular":0,"total":0},'
+                             f'"kind":"complete_bipartite","out":null,"s":{size}}}\n')
 
 
 @pytest.mark.parametrize("graph,path", [

@@ -1,4 +1,6 @@
 import hashlib
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -50,6 +52,43 @@ def test_zero_function_rejected(sp42):
         verify_eigenfunction(sp42, Eigenfunction({}, 1, {}))
     with pytest.raises(ZeroFunction):
         verify_eigenfunction(sp42, Eigenfunction({0: Fraction(0)}, 1, {}))
+
+
+def test_a_failure_with_numbers_too_long_for_str_is_reported_exactly(sp42):
+    # int -> str refuses 10^8000, the lhs at vertex 0
+    big = 10 ** 4000
+    with pytest.raises(NotAnEigenfunction) as err:
+        verify_eigenfunction(sp42, Eigenfunction({0: big}, big, {}))
+    assert (err.value.vertex, err.value.lhs, err.value.rhs) == (0, big * big, 0)
+    assert str(err.value) == (
+        f"condition fails at vertex 0: theta*f = 1{'0' * 8000}, neighbour sum = 0")
+    assert ef.exact_text(Fraction(-big * big, 3)) == f"-1{'0' * 8000}/3"
+    assert ef.exact_text(Fraction(-7, 3)) == "-7/3"
+
+
+@pytest.mark.parametrize("digits,refused", [(4300, False), (4301, True)])
+def test_the_common_denominator_is_capped_at_4300_digits(sp42, digits, refused):
+    f = Eigenfunction({0: Fraction(1, 10 ** (digits - 1))}, 1, {})
+    with pytest.raises(ef.DenominatorTooLong if refused else NotAnEigenfunction):
+        verify_eigenfunction(sp42, f)
+
+
+def test_long_denominators_are_refused_before_any_vertex_is_checked():
+    # 364 values of 1,001-digit denominators: the lcm of them all took 5.6 s
+    # and a 56 MiB peak before any vertex was checked
+    g = make_collinearity("sp", 6, 3, 1)
+    f = Eigenfunction({v: Fraction(1, 10 ** 1000 + 2 * v + 1) for v in range(g.n)}, 1, {})
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ef.DenominatorTooLong,
+                           match="^the values' common denominator has more than 4300 digits$"):
+            verify_eigenfunction(g, f)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 2 ** 18
 
 
 def test_wrong_eigenvalue_is_reported_with_a_vertex(sp42):

@@ -155,6 +155,13 @@ def test_constructor_errors():
         field_new(2, 21)
 
 
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 6, 9, 12, 25, 91])
+def test_a_characteristic_that_is_not_prime_is_refused_by_name(p):
+    # prime powers and other composites alike, with one message
+    with pytest.raises(NonPrimeCharacteristic, match=f"^characteristic {p} is not prime$"):
+        field_new(p, 1)
+
+
 def test_the_desk_scale_cap_admits_gf256_and_nothing_larger():
     assert gf.DESK_SCALE_CAP == 256
     assert field_from_order(256).q == 256

@@ -281,6 +281,8 @@ def test_unitary_graph_equals_collinearity_of_the_hermitian_space(u44):
         == [linalg.vec_key(p.rep) for p in other.vertices]
     assert u44.adj == other.adj
     assert u44.provenance["kind"] == "unitary"
+    # the collinearity builder labels U(4, q) itself, so both builders agree
+    assert u44.provenance == other.provenance
 
 
 def test_affine_adjacency_matches_definition(vo_minus_2):
@@ -509,6 +511,34 @@ def test_max_pair_stops_at_the_first_nexus_meet_with_clique_zero(monkeypatch):
                CliqueInfo((2, 6, 7), True, 1), Unread((0, 8, 9), True, 1)]
     monkeypatch.setattr(graphs, "_sized_cliques", lambda g: iter(cliques))
     assert max_intersecting_delsarte_pair(pentagon()) == (cliques[0], cliques[2])
+
+
+@st.composite
+def _clique_streams(draw):
+    """A stream of 3-cliques over 9 vertices, some not Delsarte, with the
+    nexus the largest meet of two Delsarte ones, or one more: no pair meets
+    in more than the nexus, as in a graph, and ties and early meets with
+    clique 0 come up often."""
+    triples = st.tuples(*[st.integers(0, 8)] * 3).filter(lambda t: len(set(t)) == 3)
+    stream = draw(st.lists(st.tuples(triples.map(sorted).map(tuple), st.booleans()),
+                           max_size=8))
+    delsarte = [bits_of(t) for t, ok in stream if ok]
+    meets = [(a & b).bit_count() for a, b in itertools.combinations(delsarte, 2)]
+    return stream, max(meets, default=0) + draw(st.integers(0, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_clique_streams())
+def test_max_pair_equals_the_full_scan_on_random_streams(case):
+    stream, nexus = case
+    tuples = [t if ok else (*t, None) for t, ok in stream]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        cliques = _stub_stream(monkeypatch, tuples, nexus)
+        if len(cliques) < 2:
+            with pytest.raises(FewerThanTwoCliques, match=f"found {len(cliques)} "):
+                max_intersecting_delsarte_pair(pentagon())
+        else:
+            assert max_intersecting_delsarte_pair(pentagon()) == _full_scan(cliques)
 
 
 @pytest.mark.parametrize("found", [0, 1])

@@ -16,7 +16,7 @@ from polareig.bitsets import bit_indices, cliques_within, complement, counts_dif
 from polareig.cli import build_graph
 from polareig.graphs import graph_from_edges
 from polareig.oracle import (
-    OracleError, WitnessNotFound, check_characterisation, count_comparison,
+    OracleError, PairCatalog, WitnessNotFound, check_characterisation, count_comparison,
     enumerate_bipartite_pairs, enumerate_isolated_clique_pairs,
 )
 
@@ -94,6 +94,26 @@ def test_outside_regular_bipartite_pairs_give_negative_eigenfunctions(u44):
         f = ef.Eigenfunction(values, spec.theta2, {})
         if regular:
             assert ef.verify_eigenfunction(u44, f).tight
+
+
+def test_a_part_size_over_half_the_graph_gives_an_empty_catalogue():
+    k33 = graph_from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    assert enumerate_bipartite_pairs(k33, 3) == PairCatalog(
+        "complete_bipartite", 3, (((0, 1, 2), (3, 4, 5)),), (True,))
+    assert enumerate_bipartite_pairs(k33, 4) == PairCatalog("complete_bipartite", 4, (), ())
+    g = built("sp:3:3")
+    for s in (g.n // 2, g.n // 2 + 1):
+        assert enumerate_bipartite_pairs(g, s) == PairCatalog("complete_bipartite", s, (), ())
+    # the packed table holds (2s).bit_length() bits per vertex pair: with
+    # s = 10^400 it peaked at 22.6 MiB before the empty scan
+    tracemalloc.start()
+    try:
+        catalog = enumerate_bipartite_pairs(g, 10 ** 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert catalog.counts() == {"total": 0, "outside_regular": 0, "not_outside_regular": 0}
+    assert peak < 2 ** 16
 
 
 def test_undersized_bipartite_pairs_are_rejected_as_certificates(sp42):

@@ -6,6 +6,7 @@ import random
 import re
 import runpy
 import stat
+import time
 import tracemalloc
 from collections import deque
 from fractions import Fraction
@@ -233,6 +234,25 @@ def test_csv_eigenfunctions_still_read_every_decimal_form():
     f = serialize.eigenfunction_from_csv(
         "vertex,value\n 0 ,+1.5\n1,-3/6\n2,1e1\n+3,-0.25\n4,-7\n")
     assert f.values == {0: Fraction(3, 2), 1: Fraction(-1, 2), 2: 10, 3: Fraction(-1, 4), 4: -7}
+
+
+@pytest.mark.parametrize("value,exponent", [
+    ("1e4300", 4300), ("-2E-4300", -4300), ("1.5e+04300", 4300), ("3e0", 0)])
+def test_csv_exponents_up_to_4300_are_read(value, exponent):
+    f = serialize.eigenfunction_from_csv(f"vertex,value\n0,{value}\n")
+    assert f.values == {0: Fraction(value.partition("e")[0].partition("E")[0])
+                        * Fraction(10) ** exponent}
+
+
+@pytest.mark.parametrize("value", ["1e4301", "-2E-4301", "1.5e+04301", "1e1000000000",
+                                   "1e" + "9" * 4000])
+def test_csv_exponents_past_4300_are_malformed_before_fraction_reads_them(value):
+    # Fraction builds 10^e first: 1e3000000 took over a second, and the
+    # work grows faster than the exponent
+    start = time.perf_counter()
+    with pytest.raises(serialize.SerializeError, match="exponent of magnitude over 4300"):
+        serialize.eigenfunction_from_csv(f"vertex,value\n0,{value}\n")
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("name,data,message", [
