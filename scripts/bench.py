@@ -19,6 +19,7 @@ process's high-water mark, so it never read below this script's own RSS.)
 """
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -62,13 +63,14 @@ LADDER = [
 CHECKED = ("count-check vo+:2:4", "count-check u:2:16", "count-check sp:3:3",
            "enumerate --kind bipartite u:2:9", "enumerate --kind bipartite o+:3:3")
 
-# runs the CLI, then writes its own VmHWM line to the pipe whose write end is
-# file descriptor {fd}, however main() exits
+# runs the CLI through its process entry, as the console script does, then
+# writes its own VmHWM line to the pipe whose write end is file descriptor
+# {fd}, however the command exits
 CHILD = """\
 import os
 try:
-    from polareig.cli import main
-    main()
+    from polareig.cli import entry
+    entry()
 finally:
     with open("/proc/self/status", "rb") as status:
         os.write({fd}, b"".join(line for line in status if line.startswith(b"VmHWM:")))
@@ -122,6 +124,8 @@ def main():
     parser.add_argument("--src", type=Path, default=SRC,
                         help="the src directory to run (default: %(default)s)")
     src = parser.parse_args().src.resolve()
+    # with PYTHONDONTWRITEBYTECODE set, a stale .pyc would be recompiled in every run
+    compileall.compile_dir(src / "polareig", quiet=1)
     results = [run_rung(name, args, runs, src) for name, args, runs in LADDER]
     # one rung per line, so two files diff line by line
     lines = ",\n".join(" " + json.dumps(rung) for rung in results)

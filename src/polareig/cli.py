@@ -6,13 +6,16 @@ is a family, q and one size: the rank --n of sp/o+/o/o-/u or the --m of vo±
 Exit codes: 0 success, 2 invalid configuration or usage (argparse prints its
 usage line and the error on stderr), 3 cap exceeded (q, vertices, a denominator),
 4 verification failure, 5 count-check formula mismatch (informational),
-6 file I/O error.  ``main(argv=None)`` is the ``polareig`` console script;
-argv defaults to ``sys.argv[1:]``.
+6 file I/O error.  ``entry()`` starts a process: it is the ``polareig``
+console script and the ``python -m polareig.cli`` path.  ``main(argv=None)``
+is the in-process API (argv defaults to ``sys.argv[1:]``) and leaves the
+garbage collector as it finds it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from contextlib import suppress
@@ -407,5 +410,14 @@ def main(argv: list[str] | None = None):
         raise SystemExit(_fail(6, f"cannot write to stdout: {exc}")) from None
 
 
+def entry():
+    """Run main() as a whole process.  The imports are done by now, so
+    gc.freeze() moves the objects they made into the permanent generation,
+    which no collection walks: the collections at exit, and any full one
+    during the command, skip them."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    main()
+    entry()

@@ -357,12 +357,24 @@ def _check_cap(q: int):
         raise CapExceeded(f"field order {q} exceeds the desk-scale cap {DESK_SCALE_CAP}")
 
 
+def _decimal(n: int) -> str:
+    """n in decimal, or its bit length past the 4,300 digits that int -> str prints."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"({n.bit_length()}-bit integer)"
+
+
 def field_new(p: int, k: int) -> FieldContext:
     """Build GF(p^k) with the canonically-least irreducible monic modulus.
 
     Deterministic across runs: same (p, k) gives an identical modulus and
-    element order.
+    element order.  A p or k that puts p^k over the cap by itself is refused
+    first, so a large p is never factored and p^k is never expanded.
     """
+    if p > DESK_SCALE_CAP or p >= 2 and k >= DESK_SCALE_CAP.bit_length():
+        raise CapExceeded(f"field order {_decimal(p)}^{_decimal(k)} exceeds the desk-scale "
+                          f"cap {DESK_SCALE_CAP}")
     try:
         prime = factor_prime_power(p) == (p, 1)
     except NonPrimeCharacteristic:  # p < 2, or p is no prime power

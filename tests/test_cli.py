@@ -1,3 +1,5 @@
+import ast
+import gc
 import hashlib
 import json
 import os
@@ -712,6 +714,29 @@ def test_a_full_disk_on_stdout_exits_6_without_a_traceback(argv):
     assert proc.returncode == 6
     assert proc.stderr.startswith("error: cannot write to stdout: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_main_in_process_leaves_the_collector_alone():
+    frozen = gc.get_freeze_count()
+    assert run("count-check", *SP22).exit_code == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_entry_freezes_the_import_time_heap_before_it_runs_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main"))
+    cli.entry()
+    assert calls == ["freeze", "main"]
+
+
+def test_the_console_script_and_python_m_start_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    source = Path(cli.__file__).resolve()
+    project = tomllib.loads((source.parents[2] / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"polareig": "polareig.cli:entry"}
+    guard = ast.parse(source.read_text(encoding="utf-8")).body[-1]
+    assert ast.unparse(guard) == "if __name__ == '__main__':\n    entry()"
 
 
 # the commands that write --out, each with whether it writes the file before

@@ -1,4 +1,5 @@
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +172,38 @@ def test_the_desk_scale_cap_admits_gf256_and_nothing_larger():
             field_from_order(q)
     with pytest.raises(CapExceeded):
         field_new(2, 9)
+
+
+@pytest.mark.parametrize("p,k", [(2 ** 61 - 1, 1), (3, 10 ** 9)])
+def test_an_oversized_field_is_refused_before_p_is_factored_or_p_to_the_k_built(p, k):
+    # the primality test would trial-divide to 1.5e9, and 3^(10^9) is a
+    # runaway allocation; the order is named as p^k, unexpanded
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=re.escape(f"field order {p}^{k} exceeds the "
+                                                    "desk-scale cap 256")):
+        field_new(p, k)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_the_cap_comes_first_even_for_a_characteristic_that_is_not_prime():
+    for p, k in ((4, 9), (257, 1), (10 ** 5000, 1)):
+        with pytest.raises(CapExceeded):
+            field_new(p, k)
+    # p^k over the cap only through k: a k past 4,300 digits is named by its size
+    with pytest.raises(CapExceeded, match=re.escape("3^(16610-bit integer)")):
+        field_new(3, 10 ** 5000)
+
+
+def test_fields_within_the_cap_keep_their_exception_order_and_messages():
+    with pytest.raises(NonPrimeCharacteristic, match="^characteristic 4 is not prime$"):
+        field_new(4, 1)
+    with pytest.raises(NonPrimeCharacteristic, match="^characteristic 1 is not prime$"):
+        field_new(1, 10 ** 9)  # 1^k is no order over the cap
+    with pytest.raises(DegreeZero, match="^extension degree must be >= 1, got 0$"):
+        field_new(2, 0)
+    with pytest.raises(CapExceeded, match="^field order 2\\^9 exceeds the desk-scale cap 256$"):
+        field_new(2, 9)
+    assert field_new(2, 8).q == 256
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (67, 1)])

@@ -12,7 +12,7 @@ from conftest import (difference_pairs, reference_bipartite_pairs,
                       reference_isolated_pairs, reference_kept_masks)
 from polareig import (cache, eigenfunctions as ef, graphs, linalg, oracle, polarspace,
                       serialize)
-from polareig.bitsets import bit_indices, cliques_within, complement, counts_differ
+from polareig.bitsets import bit_indices, bits_of, cliques_within, complement, counts_differ
 from polareig.cli import build_graph
 from polareig.graphs import graph_from_edges
 from polareig.oracle import (
@@ -292,6 +292,31 @@ def test_bipartite_catalog_matches_reference(family, size, q, s):
     catalog = enumerate_bipartite_pairs(g, s)
     assert catalog.pairs
     assert (catalog.pairs, catalog.outside_regular) == reference_bipartite_pairs(g, s)
+
+
+@pytest.mark.parametrize("label", ["sp:2:2", "sp:2:3", "o+:3:2", "u:2:4", "vo+:2:2",
+                                   "o-:2:2", "vo-:2:2"])
+def test_bipartite_flags_follow_the_closed_form_of_the_outside_imbalance(label):
+    # On an induced K_{s,s} (T0, T1) of an SRG(v, k, lambda, mu), counting
+    # paths of length 2 from T0 and T1 gives, summed over every vertex u off
+    # the pair, (|N(u) & T0| - |N(u) & T1|)^2 = 2s(k + (s-1)mu - s lambda - s^2)
+    # = -2s p(-s), with p(x) = x^2 - (lambda-mu)x - (k-mu) the eigenvalue
+    # polynomial.  So every pair of one catalogue has one flag, True exactly
+    # at s = -theta2, and no pair exists past it (the sum is never negative).
+    g = built(label)
+    params = g.srg_params()
+    v, k, lam, mu = params.v, params.k, params.lam, params.mu
+    bound = -graphs.spectrum(params).theta2
+    for s in range(1, bound + 2):
+        catalog = enumerate_bipartite_pairs(g, s)
+        rhs = 2 * s * (k + (s - 1) * mu - s * lam - s * s)
+        for t0, t1 in catalog.pairs:
+            b0, b1 = bits_of(t0), bits_of(t1)
+            assert sum(((g.adj[u] & b0).bit_count() - (g.adj[u] & b1).bit_count()) ** 2
+                       for u in range(v) if not (b0 | b1) >> u & 1) == rhs
+        assert set(catalog.outside_regular) == ({rhs == 0} if catalog.pairs else set())
+        assert (rhs == 0) == (s == bound)
+    assert not catalog.pairs  # s = -theta2 + 1
 
 
 def test_bipartite_catalog_flags_a_regular_and_a_non_regular_pair():

@@ -1,7 +1,7 @@
 """Rules the package's source keeps, checked on its syntax trees: guards
-raise named exceptions (python -O strips an assert), and nothing is imported
+raise named exceptions (python -O strips an assert), nothing is imported
 from outside the standard library and the package (polareig has no runtime
-dependency)."""
+dependency), and only the CLI's process entry touches the garbage collector."""
 
 import ast
 import sys
@@ -43,3 +43,26 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_assert_and_no_import_from_outside_the_standard_library(path):
     assert _offences(path.read_text(encoding="utf-8")) == []
+
+
+def _imports(source: str) -> set[str]:
+    """The top-level modules that source imports by absolute name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.partition(".")[0])
+    return out
+
+
+def test_the_gc_rule_sees_both_import_forms():
+    assert _imports("import gc\n") == _imports("from gc import freeze\n") == {"gc"}
+    assert _imports("from . import gf\nimport os.path\n") == {"os"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_cli_imports_gc(path):
+    # cli.entry freezes the import-time heap once per process; a library
+    # module that touched the collector would change it for every caller
+    assert ("gc" in _imports(path.read_text(encoding="utf-8"))) == (path.name == "cli.py")
